@@ -2,10 +2,18 @@
 
 Boundary points are modelled by eventually periodic infinite reduced words
 based at the identity; the action of a group element g sends such a ray to
-the stabilized normal-form prefixes of g times a long ray prefix.  Distances
-between two translated rays use a word-metric stand-in for the boundary
-metric: the sum over depths i of min(word distance at depth i, 2^-i), kept
-as exact rationals so experiments are bit-reproducible.
+the normal form of g times a long ray prefix, cut at a depth.  The prefix
+is ``depth + 2|g| + period`` letters long, and the cut must not change when
+one more period is appended (two-margin stability check), otherwise the
+translation raises Unstable.
+
+Distances between two translated rays use a word-metric stand-in for the
+boundary metric: the sum over depths i of min(word distance at depth i,
+2^-i).  Distinct prefixes are at word distance >= 1, so every term is 0 or
+2^-i, and once two prefixes differ all longer ones do.  The sum is thus
+exactly 2^-k - 2^-depth, where k is the length of the common prefix of the
+two translated words (0 when they agree); it is computed in that closed
+form, as exact rationals so experiments are bit-reproducible.
 
 The proxy is NOT the boundary metric of the underlying CAT(0) geometry;
 every report produced from these numbers must say so.  Translation requires
@@ -19,6 +27,7 @@ from math import inf
 
 from . import core, racg
 from .errors import (
+    CoxboundaryError,
     HorizonTooSmall,
     NotRightAngled,
     OrderNotInfinite,
@@ -95,47 +104,71 @@ def ray_prefix(system, ray, n):
     return racg.normal_form(system, ray.letters(n))
 
 
-def _stable_prefixes(system, g_word, ray, depth, margin):
-    word = racg.normal_form(system, g_word + ray.letters(margin)).word
-    return [word[:i] for i in range(1, depth + 1)]
+def _translated_word(system, g, ray, depth):
+    """First ``depth`` letters of the normal form of g . ray, stability-checked.
+
+    Folds g and then ``margin = depth + 2|g| + period`` ray letters into one
+    canonical word, cuts it at ``depth``, then appends one more period and
+    raises Unstable unless the cut is unchanged.
+    """
+    if depth < 0:
+        raise CoxboundaryError(f"depth {depth} is negative")
+    g = core.check_word(system, g)
+    if depth == 0:
+        return ()
+    racg._require_right_angled(system)
+    word = ()
+    for s in g:
+        word = racg._append(system, word, s)
+    margin = depth + 2 * len(word) + len(ray.period)
+    letters = ray.letters(margin + len(ray.period))
+    for s in letters[:margin]:
+        word = racg._append(system, word, s)
+    first = word[:depth]
+    for s in letters[margin:]:
+        word = racg._append(system, word, s)
+    if word[:depth] != first:
+        raise Unstable("translated prefixes changed between margins")
+    return first
 
 
 def translate_ray(system, g, ray, depth):
     """Prefixes u_1 .. u_depth of the translated ray g . ray.
 
-    Computes the normal form of g times a long ray prefix and cuts prefixes;
-    the margin is rechecked one period later and must give identical
-    prefixes, otherwise Unstable is raised.
+    u_i is the first i letters of the normal form of g times the first
+    ``depth + 2|g| + period`` ray letters.  The cut at ``depth`` is rechecked
+    one period later and must be unchanged, otherwise Unstable is raised.
+    The proxy distance of two translates is 2^-k - 2^-depth, where k is the
+    number of leading prefixes they share.
     """
-    g = core.check_word(system, g)
-    if depth == 0:
-        return []
-    glen = len(racg.normal_form(system, g).word)
-    margin = depth + 2 * glen + len(ray.period)
-    first = _stable_prefixes(system, g, ray, depth, margin)
-    second = _stable_prefixes(system, g, ray, depth, margin + len(ray.period))
-    if first != second:
-        raise Unstable("translated prefixes changed between margins")
-    return [racg.NormalForm(w, racg._descents(system, w)) for w in first]
+    word = _translated_word(system, g, ray, depth)
+    return [
+        racg.NormalForm(word[:i], racg._descents(system, word[:i]))
+        for i in range(1, depth + 1)
+    ]
 
 
 def proxy_distance(system, g, ray_a, ray_b, depth):
     """Word-metric proxy distance between the translates of two rays.
 
-    Sum over i = 1..depth of min(word distance of the depth-i prefixes,
-    2^-i); symmetric, bounded by 1, exact.
+    Defined as the sum over i = 1..depth of min(word distance of the depth-i
+    prefixes, 2^-i).  Distinct prefixes are at distance >= 1 and stay
+    distinct at every larger depth, so the sum is exactly 2^-k - 2^-depth,
+    where k is the length of the common prefix of the two translated words,
+    and 0 when the words agree.  Symmetric, in [0, 1), exact.  Each word is
+    cut at ``depth`` and must not change when one more ray period is
+    appended to the prefix, otherwise Unstable is raised (see translate_ray).
     """
-    us = translate_ray(system, g, ray_a, depth)
-    vs = translate_ray(system, g, ray_b, depth)
-    total = Fraction(0)
-    for i in range(1, depth + 1):
-        u = us[i - 1].word
-        v = vs[i - 1].word
-        if u == v:
-            continue
-        d = core.word_distance(system, u, v)
-        total += min(Fraction(d), Fraction(1, 2**i))
-    return total
+    u = _translated_word(system, g, ray_a, depth)
+    v = _translated_word(system, g, ray_b, depth)
+    if u == v:
+        return Fraction(0)
+    k = 0
+    for x, y in zip(u, v):
+        if x != y:
+            break
+        k += 1
+    return Fraction(1, 2**k) - Fraction(1, 2**depth)
 
 
 def derive_push_data(system, ray_a, ray_b, s0=None, prefix_len=None):

@@ -171,6 +171,19 @@ def cmd_check71(args):
     return 0 if ok else 1
 
 
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="coxboundary",
@@ -197,9 +210,9 @@ def build_parser():
     p.add_argument("ray_a")
     p.add_argument("ray_b")
     p.add_argument("--mode", choices=["liminf", "limsup", "obstruction"], required=True)
-    p.add_argument("--depth", type=int, default=16)
-    p.add_argument("--L", type=int, default=6)
-    p.add_argument("--kmax", type=int, default=40)
+    p.add_argument("--depth", type=_int_at_least(0), default=16)
+    p.add_argument("--L", type=_int_at_least(0), default=6)
+    p.add_argument("--kmax", type=_int_at_least(1), default=40)
     p.add_argument("--s0")
     p.add_argument("--t0")
     p.add_argument("--x", default="")
@@ -210,15 +223,18 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--s0", required=True)
     p.add_argument("--t0", required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
+    p.add_argument("--K", type=_int_at_least(0), required=True)
+    p.add_argument("--L", type=_int_at_least(0), required=True)
     p.add_argument("--table-rows", type=int, default=20)
     p.set_defaults(func=cmd_check71)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "t0", None) is not None and args.s0 is None:
+        parser.error("--t0 requires --s0")
     try:
         return args.func(args)
     except CoxboundaryError as exc:

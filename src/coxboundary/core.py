@@ -21,6 +21,7 @@ from .errors import (
     BadDiagonal,
     DuplicateLabel,
     EntryBelowTwo,
+    InvalidMatrix,
 )
 
 Word = tuple  # sequence of generator indices
@@ -73,8 +74,9 @@ def validate(entries, labels):
 
     ``entries`` is a square table whose values are integers >= 1 or
     ``math.inf``; ``labels`` is a sequence of distinct printable strings of
-    the same length.  Raises AsymmetricMatrix, BadDiagonal, EntryBelowTwo or
-    DuplicateLabel naming the first offending position.
+    the same length.  Raises InvalidMatrix (non-integer entry),
+    AsymmetricMatrix, BadDiagonal, EntryBelowTwo or DuplicateLabel naming
+    the first offending position.
     """
     labels = tuple(labels)
     rows = tuple(tuple(row) for row in entries)
@@ -89,6 +91,11 @@ def validate(entries, labels):
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+        for j, m in enumerate(row):
+            if type(m) is not int and m != inf:
+                raise InvalidMatrix(
+                    f"entry at ({i}, {j}) must be an integer or inf, got {m!r}"
+                )
     for i in range(n):
         if rows[i][i] != 1:
             raise BadDiagonal(i)
@@ -107,9 +114,10 @@ def validate(entries, labels):
 
 def check_word(system, word):
     word = tuple(word)
+    rank = system.rank
     for x in word:
-        if not isinstance(x, int) or not 0 <= x < system.rank:
-            raise ValueError(f"letter {x!r} out of range for rank {system.rank}")
+        if type(x) is not int or not 0 <= x < rank:
+            raise ValueError(f"letter {x!r} out of range for rank {rank}")
     return word
 
 
@@ -122,7 +130,8 @@ def check_word(system, word):
 # may be rewritten as t s t ...).  A word is reduced once no member of its
 # closure admits a deletion; the canonical representative of the element is
 # the lexicographically least member of the closure of a reduced word.
-# Right-angled systems take a linear-time fast path (see racg.normal_form).
+# Right-angled systems take a fast path (see racg.normal_form): linear per
+# appended letter, quadratic per word.
 
 
 def _braid_neighbors(entries, word):

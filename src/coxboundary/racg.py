@@ -4,7 +4,8 @@ In a right-angled system every relation is a commutation, so each element
 has a unique normal form: the lexicographically least reduced word under the
 generator ordering.  Appending a letter to a normal form either cancels an
 earlier occurrence or inserts at a position determined by a single
-right-to-left scan, which keeps multiplication linear in the word length.
+right-to-left scan, so appending one letter is linear in the word length
+and the normal form of a whole word is quadratic.
 
 The update rules in this module track how descent sets evolve under right
 multiplication; together they let two arbitrary elements be pushed into a

@@ -1,5 +1,6 @@
 """Ray translation and proxy-metric tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,13 @@ from coxboundary import (
     translate_ray,
     validate_ray,
 )
-from coxboundary.errors import HorizonTooSmall, NotRightAngled, OrderNotInfinite
+from coxboundary.errors import (
+    CoxboundaryError,
+    HorizonTooSmall,
+    NotRightAngled,
+    OrderNotInfinite,
+    Unstable,
+)
 
 import oracles
 
@@ -169,8 +176,6 @@ def test_obstruction_scan_examples():
 
 
 def test_translate_unvalidated_ray_raises_unstable():
-    from coxboundary.errors import Unstable
-
     with pytest.raises(Unstable):
         translate_ray(dinf(), (), Ray((), (0,)), 1)
 
@@ -200,3 +205,107 @@ def test_format_decimal():
     # round half to even on an exact tie
     assert format_decimal(Fraction(1, 2 * 10**12)) == "0.000000000000"
     assert format_decimal(Fraction(3, 2 * 10**12)) == "0.000000000002"
+
+
+def test_negative_depth_is_a_typed_error():
+    free3 = oracles.free_product(3)
+    ra, rb = Ray((), (0, 1)), Ray((), (0, 2))
+    with pytest.raises(CoxboundaryError, match="depth -3"):
+        proxy_distance(free3, (), ra, rb, -3)
+    with pytest.raises(CoxboundaryError, match="depth -1"):
+        translate_ray(free3, (0,), ra, -1)
+
+
+# ---------------------------------------------------------------------------
+# Closed form against the defining sum, computed with the test oracles only.
+
+
+def _oracle_normal_form(system, word):
+    """Lex-least reduced word: deletion reducer, then commutation sort."""
+    entries = system.matrix.entries
+    rest = list(oracles.slow_ra_reduce(system, word))
+    out = []
+    while rest:
+        movable = [
+            i
+            for i, s in enumerate(rest)
+            if all(entries[t][s] == 2 for t in rest[:i])
+        ]
+        i = min(movable, key=lambda i: rest[i])
+        out.append(rest.pop(i))
+    return tuple(out)
+
+
+def _oracle_translate(system, g, ray, depth):
+    """Depth-cut translated word, or None when the two margins disagree."""
+    margin = depth + 2 * oracles.slow_ra_length(system, g) + len(ray.period)
+    first = _oracle_normal_form(system, g + ray.letters(margin))[:depth]
+    period = len(ray.period)
+    second = _oracle_normal_form(system, g + ray.letters(margin + period))
+    return first if second[:depth] == first else None
+
+
+def _oracle_proxy(system, u, v, depth):
+    """Sum over i <= depth of min(word distance of the i-prefixes, 2^-i)."""
+    total = Fraction(0)
+    for i in range(1, depth + 1):
+        between = tuple(reversed(u[:i])) + v[:i]
+        d = oracles.slow_ra_length(system, between)
+        total += min(Fraction(d), Fraction(1, 2**i))
+    return total
+
+
+DIFFERENTIAL_CASES = [
+    (
+        oracles.free_product(3),
+        [
+            Ray((), (0, 1)),
+            Ray((), (0, 2)),
+            Ray((2,), (0, 1)),
+            Ray((1, 2), (0, 1, 2)),
+            Ray((), (0, 1, 1, 0)),  # not reduced: translates stay short
+        ],
+    ),
+    (
+        oracles.five_cycle(),
+        [
+            Ray((1,), (0, 2)),
+            Ray((), (0, 2, 4)),
+            Ray((3,), (1, 3)),
+            Ray((4, 1), (0, 2, 4)),
+        ],
+    ),
+    (
+        oracles.dinf_x_dinf(),
+        [
+            Ray((), (0, 1)),
+            Ray((), (2, 3)),
+            Ray((2,), (0, 1)),
+            Ray((), (0, 2, 1, 3)),  # diagonal ray: Unstable
+        ],
+    ),
+]
+
+
+def test_proxy_distance_matches_defining_sum():
+    rng = random.Random(20080802)
+    seen = {"unstable": 0, "positive": 0, "zero": 0}
+    for system, rays in DIFFERENTIAL_CASES:
+        for case in range(40):
+            ra, rb = rng.choice(rays), rng.choice(rays)
+            g = tuple(rng.randrange(system.rank) for _ in range(rng.randrange(7)))
+            depth = 0 if case == 0 else rng.randrange(13)
+            u = _oracle_translate(system, g, ra, depth)
+            v = _oracle_translate(system, g, rb, depth)
+            if u is None or v is None:
+                seen["unstable"] += 1
+                with pytest.raises(Unstable):
+                    proxy_distance(system, g, ra, rb, depth)
+                continue
+            expected = _oracle_proxy(system, u, v, depth)
+            assert proxy_distance(system, g, ra, rb, depth) == expected
+            assert [p.word for p in translate_ray(system, g, ra, depth)] == [
+                u[:i] for i in range(1, depth + 1)
+            ]
+            seen["positive" if expected else "zero"] += 1
+    assert all(seen.values()), seen

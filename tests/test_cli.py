@@ -241,6 +241,27 @@ def test_simulate_csv_bit_exact(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "command, rest",
+    [
+        ("simulate", ["alpha", "beta", "--mode", "limsup", "--depth", "-3"]),
+        ("simulate", ["alpha", "beta", "--mode", "limsup", "--L", "-1"]),
+        ("simulate", ["alpha", "beta", "--mode", "liminf", "--kmax", "0"]),
+        ("simulate", ["alpha", "beta", "--mode", "liminf", "--t0", "b"]),
+        ("check71", ["--s0", "a", "--t0", "b", "--K", "-1", "--L", "2"]),
+        ("check71", ["--s0", "a", "--t0", "b", "--K", "7", "--L", "-1"]),
+    ],
+)
+def test_bad_bounds_are_usage_errors(tmp_path, capsys, command, rest):
+    path = write(tmp_path, "f3.cox", FREE3)
+    with pytest.raises(SystemExit) as err:
+        main([command, path, *rest])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert captured.out == ""
+
+
 def test_check71_command(tmp_path, capsys):
     path = write(tmp_path, "f3.cox", FREE3)
     code = main(

@@ -18,12 +18,13 @@ from coxboundary import (
     word_distance,
     word_length,
 )
-from coxboundary.core import _tits_canonical
+from coxboundary.core import _tits_canonical, check_word
 from coxboundary.errors import (
     AsymmetricMatrix,
     BadDiagonal,
     DuplicateLabel,
     EntryBelowTwo,
+    InvalidMatrix,
 )
 
 import oracles
@@ -64,6 +65,21 @@ def test_validate_rejects_bad_diagonal():
 def test_validate_rejects_duplicate_label():
     with pytest.raises(DuplicateLabel):
         validate([[1, 2], [2, 1]], ["a", "a"])
+
+
+def test_validate_rejects_non_integer_orders():
+    with pytest.raises(InvalidMatrix, match=r"\(0, 1\)"):
+        validate([[1, 2.5], [2.5, 1]], ["a", "b"])
+    with pytest.raises(InvalidMatrix, match=r"\(1, 1\)"):
+        validate([[1, inf], [inf, True]], ["a", "b"])
+
+
+def test_check_word_rejects_bool_letters():
+    with pytest.raises(ValueError, match="True"):
+        check_word(dinf(), (0, True))
+    with pytest.raises(ValueError):
+        reduce(dinf(), (False,))
+    assert check_word(dinf(), [1, 0]) == (1, 0)
 
 
 def test_reduce_involution():
