@@ -14,7 +14,8 @@ safe (at worst a value is recomputed).
 
 from collections import deque
 from dataclasses import dataclass, field
-from math import inf
+from fractions import Fraction
+from math import inf, lcm
 
 from .errors import (
     AsymmetricMatrix,
@@ -124,88 +125,284 @@ def check_word(system, word):
 # ---------------------------------------------------------------------------
 # Word problem.
 #
-# The general reduction walks the rewriting closure of a word: delete equal
-# adjacent letters whenever possible, otherwise search all words reachable by
-# defining-relation moves (an alternating run s t s ... of length m(s, t)
-# may be rewritten as t s t ...).  A word is reduced once no member of its
-# closure admits a deletion; the canonical representative of the element is
-# the lexicographically least member of the closure of a reduced word.
-# Right-angled systems take a fast path (see racg.normal_form): linear per
-# appended letter, quadratic per word.
+# Elements act on the geometric representation: the real vector space with
+# basis alpha_s (the simple roots) and the form B(alpha_s, alpha_t) =
+# -cos(pi / m(s, t)), read as -1 for infinite order.  The reflection for s
+# changes only the alpha_s coordinate of a vector,
+#
+#     c_s  ->  -c_s + sum over t != s of kappa(s, t) c_t,
+#
+# with kappa(s, t) = -2 B(alpha_s, alpha_t) = 2 cos(pi / m(s, t)), which is
+# 0, 1 and 2 for the orders 2, 3 and inf.  The image of a simple root is a
+# root, whose coordinates are all >= 0 or all <= 0, and s is a left descent
+# of w exactly when w^-1(alpha_s) is negative (Bjorner-Brenti, Combinatorics
+# of Coxeter Groups, ch. 4).  Repeatedly taking the smallest left descent
+# spells the lexicographically least reduced word, which is the canonical
+# form: O(len * rank^2) ring operations per word.
+#
+# The arithmetic is exact.  Every kappa lies in Z[theta] with theta =
+# 2 cos(pi / L), L the lcm of the finite orders >= 4, so coordinates are
+# integer vectors in the basis 1, theta, ..., theta^(D-1), D the degree of
+# the minimal polynomial of theta; with orders in {2, 3, inf} only, D = 1
+# and coordinates are plain integers.  Signs are read off as described at
+# _Ring.negative.  Double-precision coordinates are not enough: on the
+# figure-one system they turn the reduced 49-letter word
+# (s t3 t1)^8 t2 (t1 t3 s)^8 into a shorter word for another element.
+# Only the ring constants are cached per system, never words.  Right-angled
+# systems take a fast path (see racg.normal_form): linear per appended
+# letter, quadratic per word.
 
 
-def _braid_neighbors(entries, word):
-    n = len(word)
-    for i in range(n - 1):
-        s = word[i]
-        t = word[i + 1]
-        if s == t:
-            continue
-        m = entries[s][t]
-        if m == inf or i + m > n:
-            continue
-        m = int(m)
-        run = word[i : i + m]
-        ok = True
-        for k, x in enumerate(run):
-            if x != (s if k % 2 == 0 else t):
-                ok = False
-                break
-        if ok:
-            flipped = tuple(t if k % 2 == 0 else s for k in range(m))
-            yield word[:i] + flipped + word[i + m :]
+def _poly_divmod(p, q):
+    """Quotient and remainder of integer polynomials; ``q`` is monic.
+
+    Polynomials are coefficient lists, constant term first.
+    """
+    p = list(p)
+    dq = len(q) - 1
+    quotient = [0] * max(len(p) - dq, 0)
+    for i in range(len(p) - 1, dq - 1, -1):
+        c = p[i]
+        if c:
+            quotient[i - dq] = c
+            for j, b in enumerate(q):
+                p[i - dq + j] -= c * b
+    return quotient, (p[:dq] + [0] * dq)[:dq]
 
 
-def _delete_equal_adjacent(word):
-    """Remove one pair of equal adjacent letters, or return None."""
-    for i in range(len(word) - 1):
-        if word[i] == word[i + 1]:
-            return word[:i] + word[i + 2 :]
-    return None
+def _chebyshev(k):
+    """C_k with C_k(x + 1/x) = x^k + x^-k, so C_k(2 cos a) = 2 cos(k a)."""
+    prev, cur = [2], [0, 1]
+    if k == 0:
+        return prev
+    for _ in range(k - 1):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _cyclotomic(n):
+    """Phi_n, from x^d - 1 = product of Phi_e over the divisors e of d."""
+    phis = {}
+    for d in range(1, n + 1):
+        if n % d == 0:
+            p = [-1] + [0] * (d - 1) + [1]
+            for e, phi in phis.items():
+                if d % e == 0:
+                    p = _poly_divmod(p, phi)[0]
+            phis[d] = p
+    return phis[n]
+
+
+def _minimal_polynomial(order):
+    """Minimal polynomial over Q of 2 cos(pi / order), for order >= 2.
+
+    Integer coefficients, constant term first, monic, of degree
+    phi(2 * order) / 2.  With zeta = exp(i pi / order), a primitive root of
+    unity of order n = 2 * order, 2 cos(pi / order) = zeta + 1/zeta.  The
+    cyclotomic polynomial Phi_n = sum a_i x^i is palindromic of degree 2d,
+    so x^-d Phi_n(x) = a_d + sum over k >= 1 of a_(d+k) (x^k + x^-k), and
+    x^k + x^-k = C_k(x + 1/x).
+    """
+    phi = _cyclotomic(2 * order)
+    d = (len(phi) - 1) // 2
+    out = [0] * (d + 1)
+    out[0] = phi[d]
+    for k in range(1, d + 1):
+        for i, c in enumerate(_chebyshev(k)):
+            out[i] += phi[d + k] * c
+    return out
+
+
+def _poly_value(p, x):
+    value = 0
+    for c in reversed(p):
+        value = value * x + c
+    return value
+
+
+def _theta_bounds(minpoly, prec):
+    """Rationals lo <= theta <= hi with hi - lo <= 2^-prec.
+
+    theta = 2 cos(pi / L) is the largest root of ``minpoly``, whose roots
+    2 cos(k pi / L) are real and below 2.  Newton's method started above the
+    largest root of such a polynomial f decreases towards it without
+    crossing it, and x - D f(x) / f'(x) <= theta below any such x, because
+    f'/f = sum of 1/(x - r) over the D roots r is at most D / (x - theta).
+    Iterates are rounded up to a grid finer than 2^-prec, which keeps them
+    above theta and their denominators small.
+    """
+    degree = len(minpoly) - 1
+    deriv = [i * c for i, c in enumerate(minpoly)][1:]
+    grid = 1 << (prec + degree.bit_length() + 1)
+    bound = Fraction(1, 1 << prec)
+    x = Fraction(2)
+    while True:
+        step = _poly_value(minpoly, x) / _poly_value(deriv, x)
+        if degree * step <= bound:
+            return x - degree * step, x
+        x = Fraction(-((step - x) * grid // 1), grid)
+
+
+class _Ring:
+    """Exact root arithmetic of one system's geometric representation.
+
+    A vector is a flat list of rank * D integers: the coordinate on alpha_u
+    is the element sum of v[u*D + i] theta^i of Z[theta].  Multiplication
+    by kappa(s, t) is stored as the nonzero entries (i, j, k) of its D x D
+    integer matrix: coefficient i of the product gains k times coefficient j.
+    """
+
+    def __init__(self, entries):
+        self.rank = len(entries)
+        orders = {m for row in entries for m in row if m != inf and m >= 4}
+        if orders:
+            order = lcm(*orders)
+            self.minpoly = _minimal_polynomial(order)
+        else:  # D = 1: no theta occurs
+            order, self.minpoly = None, [0, 1]
+        self.degree = len(self.minpoly) - 1
+        self.links = [
+            [
+                (t, self._times(self._kappa(m, order)))
+                for t, m in enumerate(row)
+                if t != s and m != 2
+            ]
+            for s, row in enumerate(entries)
+        ]
+        self._tables = {}
+
+    def _kappa(self, m, order):
+        """2 cos(pi / m) as a polynomial in theta = 2 cos(pi / order)."""
+        if m == inf:
+            return [2]
+        if m == 3:
+            return [1]
+        return _poly_divmod(_chebyshev(order // m), self.minpoly)[1]
+
+    def _times(self, kappa):
+        D = self.degree
+        out = []
+        for j in range(D):
+            power = [0] * j + kappa  # kappa * theta^j
+            for i, k in enumerate(_poly_divmod(power, self.minpoly)[1]):
+                if k:
+                    out.append((i, j, k))
+        return out
+
+    def fold(self, letters):
+        """Images of the simple roots under S_(l_n) ... S_(l_1), as columns.
+
+        The reflection of the first letter acts first, so the word of w
+        gives w^-1 and its reversal gives w.
+        """
+        D, n = self.degree, self.rank
+        cols = [[0] * (n * D) for _ in range(n)]
+        for t, col in enumerate(cols):
+            col[t * D] = 1
+        for s in letters:
+            base = s * D
+            links = self.links[s]
+            for col in cols:
+                new = [-c for c in col[base : base + D]]
+                for t, times in links:
+                    tb = t * D
+                    for i, j, k in times:
+                        new[i] += k * col[tb + j]
+                col[base : base + D] = new
+        return cols
+
+    def multiply_right(self, cols, s):
+        """Replace the columns of a map g by those of g S_s.
+
+        g S_s (alpha_t) = g(alpha_t) + kappa(s, t) g(alpha_s) for t != s,
+        and g S_s (alpha_s) = -g(alpha_s).
+        """
+        cs = cols[s]
+        for t, times in self.links[s]:
+            ct = cols[t]
+            for b in range(0, len(cs), self.degree):
+                for i, j, k in times:
+                    ct[b + i] += k * cs[b + j]
+        cols[s] = [-c for c in cs]
+
+    def negative(self, root):
+        """True when the root with coordinates ``root`` is negative.
+
+        All coordinates of a root share one sign, so any nonzero one
+        decides; with D = 1 they are integers and the first nonzero one is
+        read directly.  Otherwise the coordinate of largest magnitude is
+        used: B(beta, beta) = 1, B(alpha_s, alpha_t) <= 0 for s != t and the
+        signs agree, so the sum of the squared coordinates is at least 1 and
+        that coordinate has |c| >= 1/sqrt(rank).  Each coordinate x is
+        evaluated as the integer S = sum a_i T_i, where T_i bounds
+        theta^i 2^prec from below within an error e_i, so x 2^prec lies
+        within E = sum |a_i| e_i of S.  The sign is accepted only when
+        |S| > E.  The starting precision makes that certain for the largest
+        coordinate (2^prec > 4 D rank 2^bits with e_i <= 2); the loop raises
+        the precision should it ever not be.
+        """
+        D = self.degree
+        if D == 1:
+            return next(c for c in root if c) < 0
+        prec = max(map(abs, root)).bit_length()
+        prec += D.bit_length() + self.rank.bit_length() + 2
+        prec = -(-prec // 32) * 32  # a few shared tables per system
+        while True:
+            powers, errors = self._table(prec)
+            best, error = 0, 0
+            for b in range(0, len(root), D):
+                x = root[b : b + D]
+                value = sum(a * p for a, p in zip(x, powers))
+                if abs(value) > abs(best):
+                    best = value
+                    error = sum(abs(a) * e for a, e in zip(x, errors))
+            if abs(best) > error:
+                return best < 0
+            prec += 32
+
+    def _table(self, prec):
+        """Lower bounds T_i of theta^i 2^prec and their error bounds e_i."""
+        table = self._tables.get(prec)
+        if table is None:
+            D = self.degree
+            lo, hi = _theta_bounds(self.minpoly, prec + 2 * D + 4)
+            powers, errors = [], []
+            for i in range(D):
+                low = lo**i * (1 << prec) // 1
+                high = -(-hi**i * (1 << prec) // 1)
+                powers.append(low)
+                errors.append(high - low)
+            table = self._tables[prec] = (powers, errors)
+        return table
+
+
+def _ring(system):
+    ring = system._memo.get("ring")
+    if ring is None:
+        ring = system._memo["ring"] = _Ring(system.matrix.entries)
+    return ring
 
 
 def _tits_canonical(system, word):
-    """Canonical reduced form by closure search; valid for any system."""
-    entries = system.matrix.entries
-    memo = system._memo.setdefault("tits", {})
-    word = tuple(word)
-    stack = []
+    """Lexicographically least reduced word of the element; any system.
+
+    Greedy smallest left descent, read from the columns w^-1(alpha_t) of
+    the remaining element w.
+    """
+    ring = _ring(system)
+    cols = ring.fold(word)
+    out = []
     while True:
-        if word in memo:
-            result = memo[word]
-            break
-        stack.append(word)
-        shorter = _delete_equal_adjacent(word)
-        if shorter is not None:
-            word = shorter
-            continue
-        # closure of a deletion-free word
-        closure = {word}
-        queue = deque([word])
-        found = None
-        while queue:
-            w = queue.popleft()
-            for nb in _braid_neighbors(entries, w):
-                if nb in closure:
-                    continue
-                shorter = _delete_equal_adjacent(nb)
-                if shorter is not None:
-                    found = shorter
-                    break
-                closure.add(nb)
-                queue.append(nb)
-            if found is not None:
+        for s, col in enumerate(cols):
+            if ring.negative(col):
                 break
-        if found is not None:
-            word = found
-            continue
-        result = min(closure)
-        for w in closure:
-            memo[w] = result
-        break
-    for w in stack:
-        memo[w] = result
-    return result
+        else:
+            return tuple(out)
+        out.append(s)
+        ring.multiply_right(cols, s)
 
 
 def reduce(system, word):
@@ -242,11 +439,10 @@ def descent_set(system, word):
         from . import racg
 
         return racg.normal_form(system, word).descents
-    w = _tits_canonical(system, word)
-    n = len(w)
-    return frozenset(
-        s for s in system.generators if len(_tits_canonical(system, w + (s,))) < n
-    )
+    # right descents: the s with w(alpha_s) < 0
+    ring = _ring(system)
+    cols = ring.fold(reversed(word))
+    return frozenset(s for s, col in enumerate(cols) if ring.negative(col))
 
 
 def in_descent_class(system, word, subset):

@@ -1,12 +1,16 @@
 """Independent oracles and shared system corpora for the test suite.
 
-Two oracle families, both deliberately unrelated to the package's rewriting
-engines:
+Three oracle families, all deliberately unrelated to the package's engines:
 
 * an exact matrix representation over the ring Z[sqrt(2)] (numbers stored as
   integer pairs a + b*sqrt(2)), which is faithful, so breadth-first search
   over matrices gives ground-truth element identity and word length for any
-  system whose orders lie in {1, 2, 3, 4, inf};
+  system whose orders lie in {1, 2, 3, 4, inf}; exact root signs in the same
+  ring give the length of long words;
+
+* a rewriting-closure search that works for any system: slow (exponential
+  in the length of the element), but it uses nothing but the defining
+  relations;
 
 * a quadratic-time reducer for right-angled systems based on the deletion
   property: a word shortens exactly when it contains two equal letters with
@@ -14,6 +18,7 @@ engines:
 """
 
 import itertools
+from collections import deque
 from math import inf
 
 from coxboundary import validate
@@ -135,6 +140,121 @@ def bfs_distances(system, radius):
                     new.append(mat2)
         frontier = new
     return dist
+
+
+def _sqrt2_sign(x):
+    """Sign of a + b*sqrt(2), exactly."""
+    a, b = x
+    if a >= 0 and b >= 0 or a <= 0 and b <= 0:
+        return (a > 0 or b > 0) - (a < 0 or b < 0)
+    # opposite signs: the term of larger square wins
+    big = a * a - 2 * b * b
+    return (1 if a > 0 else -1) * (1 if big > 0 else -1)
+
+
+def root_length(system, word):
+    """Word length by exact root signs over Z[sqrt(2)].
+
+    Row t of the matrix of a word w is the root w^-1(alpha_t), so row s of
+    the matrix of w^-1 (the reversed word) is w(alpha_s); appending s to w
+    lengthens it exactly when that root is positive.
+    """
+    mats = generator_matrices(system)
+    n = system.rank
+    inverse = identity_matrix(n)  # matrix of w^-1 for the prefix w read so far
+    length = 0
+    for s in word:
+        row = inverse[s]
+        sign = next(_sqrt2_sign(x) for x in row if x != (0, 0))
+        length += sign
+        inverse = _mat_mul(mats[s], inverse, n)
+    return length
+
+
+# ---------------------------------------------------------------------------
+# Rewriting-closure search for any system
+
+
+def _braid_neighbors(entries, word):
+    n = len(word)
+    for i in range(n - 1):
+        s = word[i]
+        t = word[i + 1]
+        if s == t:
+            continue
+        m = entries[s][t]
+        if m == inf or i + m > n:
+            continue
+        m = int(m)
+        run = word[i : i + m]
+        ok = True
+        for k, x in enumerate(run):
+            if x != (s if k % 2 == 0 else t):
+                ok = False
+                break
+        if ok:
+            flipped = tuple(t if k % 2 == 0 else s for k in range(m))
+            yield word[:i] + flipped + word[i + m :]
+
+
+def _delete_equal_adjacent(word):
+    """Remove one pair of equal adjacent letters, or return None."""
+    for i in range(len(word) - 1):
+        if word[i] == word[i + 1]:
+            return word[:i] + word[i + 2 :]
+    return None
+
+
+def closure_canonical(system, word, memo=None):
+    """Lexicographically least reduced word, by rewriting-closure search.
+
+    Delete equal adjacent letters whenever possible, otherwise search all
+    words reachable by braid moves (an alternating run s t s ... of length
+    m(s, t) rewritten as t s t ...).  A word is reduced once no member of
+    its closure admits a deletion, and the answer is the least member of
+    the closure of a reduced word.  ``memo`` (a dict) may be shared between
+    calls on one system.
+    """
+    entries = system.matrix.entries
+    if memo is None:
+        memo = {}
+    word = tuple(word)
+    stack = []
+    while True:
+        if word in memo:
+            result = memo[word]
+            break
+        stack.append(word)
+        shorter = _delete_equal_adjacent(word)
+        if shorter is not None:
+            word = shorter
+            continue
+        closure = {word}
+        queue = deque([word])
+        found = None
+        while queue:
+            w = queue.popleft()
+            for nb in _braid_neighbors(entries, w):
+                if nb in closure:
+                    continue
+                shorter = _delete_equal_adjacent(nb)
+                if shorter is not None:
+                    found = shorter
+                    break
+                closure.add(nb)
+                queue.append(nb)
+            if found is not None:
+                break
+        if found is not None:
+            word = found
+            continue
+        result = min(closure)
+        for w in closure:
+            memo[w] = result
+        break
+    for w in stack:
+        memo[w] = result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,30 @@ def test_reduce_command(tmp_path, capsys):
     assert "length: 3" in capsys.readouterr().out
 
 
+def test_reduce_long_word_on_figure_one(tmp_path, capsys):
+    import random
+
+    import oracles
+
+    fig = oracles.figure_one()
+    rng = random.Random(3)
+    word = [0]
+    while len(word) < 200:  # no letter twice in a row, so it cancels less
+        s = rng.randrange(4)
+        if s != word[-1]:
+            word.append(s)
+    word = tuple(word)
+    length = oracles.root_length(fig, word)
+    assert 50 < length < len(word)
+    path = write(tmp_path, "fig.cox", FIGURE1)
+    text = " ".join(fig.labels[s] for s in word)
+    assert main(["reduce", path, text]) == 0
+    printed, last = capsys.readouterr().out.splitlines()
+    assert last == f"length: {length}"
+    out = tuple(fig.labels.index(x) for x in printed.split())
+    assert oracles.word_matrix(fig, out) == oracles.word_matrix(fig, word)
+
+
 def test_reduce_unknown_generator(tmp_path, capsys):
     path = write(tmp_path, "f3.cox", FREE3)
     assert main(["reduce", path, "a z"]) == 2

@@ -338,3 +338,137 @@ def test_tits_agrees_with_ra_engine():
 
 def test_inverse_word():
     assert inverse_word((0, 1, 2)) == (2, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# General reducer against the rewriting-closure oracle
+
+
+def _chain(orders, branch=None):
+    """System whose consecutive generators have the given orders, plus an
+    optional extra generator of order 3 with ``branch``; all other pairs
+    commute."""
+    n = len(orders) + 1 + (branch is not None)
+    rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, m in enumerate(orders):
+        rows[i][i + 1] = rows[i + 1][i] = m
+    if branch is not None:
+        rows[branch][n - 1] = rows[n - 1][branch] = 3
+    return validate(rows, [f"g{i}" for i in range(n)])
+
+
+def _triangle(p, q, r):
+    return validate([[1, p, q], [p, 1, r], [q, r, 1]], ["x", "y", "z"])
+
+
+CLOSURE_SYSTEMS = {
+    "A3": _chain([3, 3]),
+    "B3": _chain([4, 3]),
+    "H3": _chain([5, 3]),
+    "G2": _chain([6]),
+    "I2(8)": _chain([8]),
+    "(2,3,7)": _triangle(2, 3, 7),
+    "(3,3,4)": _triangle(3, 3, 4),
+    "(5,5,5)": _triangle(5, 5, 5),
+    "figure-one": oracles.figure_one(),
+    "(2,4,5)": _triangle(4, 2, 5),  # two irrational orders: theta = 2cos(pi/20)
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_SYSTEMS))
+def test_reduce_matches_closure_oracle(name):
+    import itertools
+
+    system = CLOSURE_SYSTEMS[name]
+    memo = {}
+    for length in range(7):
+        for word in itertools.product(range(system.rank), repeat=length):
+            assert reduce(system, word) == oracles.closure_canonical(
+                system, word, memo
+            ), word
+    rng = random.Random(name)
+    for _ in range(25):
+        word = tuple(rng.randrange(system.rank) for _ in range(12))
+        canonical = oracles.closure_canonical(system, word, memo)
+        assert reduce(system, word) == canonical, word
+        assert descent_set(system, word) == {
+            s
+            for s in system.generators
+            if len(oracles.closure_canonical(system, word + (s,), memo))
+            < len(canonical)
+        }, word
+
+
+def test_figure_one_long_conjugate_is_exact():
+    """A reduced 49-letter word whose roots defeat double precision."""
+    fig = oracles.figure_one()
+    s, t1, t2, t3 = range(4)
+    word = (s, t3, t1) * 8 + (t2,) + (t1, t3, s) * 8
+    assert oracles.root_length(fig, word) == 49
+    out = reduce(fig, word)
+    assert len(out) == 49
+    assert oracles.word_matrix(fig, out) == oracles.word_matrix(fig, word)
+    assert oracles.root_length(fig, out) == 49
+
+
+def _bipartite_coxeter_element(rows):
+    """One colour class of a tree diagram, then the other.
+
+    For even Coxeter number h, c^(h/2) is the longest element, of length
+    rank * h / 2 (Bourbaki, Lie Groups and Lie Algebras, ch. V, sec. 6).
+    """
+    n = len(rows)
+    colour = {0: 0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in range(n):
+            if v != u and rows[u][v] != 2 and v not in colour:
+                colour[v] = 1 - colour[u]
+                stack.append(v)
+    return tuple(u for u in range(n) if colour[u] == 0) + tuple(
+        u for u in range(n) if colour[u] == 1
+    )
+
+
+@pytest.mark.parametrize(
+    "name,orders,branch,h,length",
+    [
+        ("A5", [3, 3, 3, 3], None, 6, 15),
+        ("A7", [3, 3, 3, 3, 3, 3], None, 8, 28),
+        ("H4", [5, 3, 3], None, 30, 60),
+        ("E8", [3, 3, 3, 3, 3, 3], 2, 30, 120),  # chain 0-...-6, node 7 on node 2
+    ],
+)
+def test_longest_elements(name, orders, branch, h, length):
+    system = _chain(orders, branch)
+    w0 = _bipartite_coxeter_element(system.matrix.entries) * (h // 2)
+    assert len(w0) == length
+    assert len(reduce(system, w0)) == length
+    assert descent_set(system, w0) == frozenset(system.generators)
+    for s in system.generators:
+        assert word_length(system, w0 + (s,)) == length - 1
+
+
+def test_minimal_polynomial_of_two_cos():
+    from math import cos, gcd, pi
+
+    from coxboundary.core import _Ring, _minimal_polynomial, _theta_bounds
+
+    for m in (4, 5, 6, 7, 8, 9, 10, 12):
+        poly = _minimal_polynomial(m)
+        totient = sum(1 for k in range(1, 2 * m + 1) if gcd(k, 2 * m) == 1)
+        assert len(poly) - 1 == totient // 2
+        assert poly[-1] == 1 and all(type(c) is int for c in poly)
+        theta = 2 * cos(pi / m)
+        assert abs(sum(c * theta**i for i, c in enumerate(poly))) < 1e-9
+        lo, hi = _theta_bounds(poly, 60)
+        assert 0 < hi - lo <= 2**-60
+        assert abs(float(lo) - theta) < 1e-12
+    # orders 4 and 5 together: one ring Z[2cos(pi/20)] of degree 8
+    ring = _Ring(CLOSURE_SYSTEMS["(2,4,5)"].matrix.entries)
+    assert ring.minpoly == _minimal_polynomial(20)
+    assert ring.degree == 8
+    # orders in {2, 3, inf} stay in the integers
+    assert _Ring(oracles.dinf_x_dinf().matrix.entries).degree == 1
+    assert _Ring(_triangle(3, 3, inf).matrix.entries).degree == 1
