@@ -117,9 +117,7 @@ def _translated_word(system, g, ray, depth):
     if depth == 0:
         return ()
     racg._require_right_angled(system)
-    word = ()
-    for s in g:
-        word = racg._append(system, word, s)
+    word = racg._fold(system, g)
     margin = depth + 2 * len(word) + len(ray.period)
     letters = ray.letters(margin + len(ray.period))
     for s in letters[:margin]:

@@ -215,7 +215,7 @@ def build_parser():
     p.add_argument("--kmax", type=_int_at_least(1), default=40)
     p.add_argument("--s0")
     p.add_argument("--t0")
-    p.add_argument("--x", default="")
+    p.add_argument("--x")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_simulate)
 
@@ -225,7 +225,7 @@ def build_parser():
     p.add_argument("--t0", required=True)
     p.add_argument("--K", type=_int_at_least(0), required=True)
     p.add_argument("--L", type=_int_at_least(0), required=True)
-    p.add_argument("--table-rows", type=int, default=20)
+    p.add_argument("--table-rows", type=_int_at_least(0), default=20)
     p.set_defaults(func=cmd_check71)
     return parser
 
@@ -233,8 +233,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "t0", None) is not None and args.s0 is None:
-        parser.error("--t0 requires --s0")
+    if args.command == "simulate":
+        if args.mode != "liminf" and {args.s0, args.t0, args.x} != {None}:
+            parser.error("--s0, --t0 and --x apply only to --mode liminf")
+        if args.t0 is not None and args.s0 is None:
+            parser.error("--t0 requires --s0")
+        if args.x is not None and args.t0 is None:
+            parser.error("--x requires --s0 and --t0")
     try:
         return args.func(args)
     except CoxboundaryError as exc:

@@ -12,7 +12,6 @@ instance and only cache results of pure computations, so concurrent use is
 safe (at worst a value is recomputed).
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, lcm
@@ -49,6 +48,16 @@ class CoxeterSystem:
     right_angled: bool
     # pure-result caches; idempotent, safe to drop or rebuild at any time
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
+    # per generator s, the bitmask of the generators commuting with s (order
+    # <= 2, own bit set): the one place commutation is read off the matrix
+    _commuting: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        commuting = tuple(
+            sum(1 << t for t, m in enumerate(row) if m <= 2)
+            for row in self.matrix.entries
+        )
+        object.__setattr__(self, "_commuting", commuting)
 
     @property
     def rank(self):
@@ -149,8 +158,8 @@ def check_word(system, word):
 # figure-one system they turn the reduced 49-letter word
 # (s t3 t1)^8 t2 (t1 t3 s)^8 into a shorter word for another element.
 # Only the ring constants are cached per system, never words.  Right-angled
-# systems take a fast path (see racg.normal_form): linear per appended
-# letter, quadratic per word.
+# systems take a fast path on the commuting masks (see racg): linear per
+# appended letter, quadratic per word.
 
 
 def _poly_divmod(p, q):
@@ -411,7 +420,7 @@ def reduce(system, word):
     if system.right_angled:
         from . import racg
 
-        return racg.normal_form(system, word).word
+        return racg._fold(system, word)
     return _tits_canonical(system, word)
 
 
@@ -438,7 +447,7 @@ def descent_set(system, word):
     if system.right_angled:
         from . import racg
 
-        return racg.normal_form(system, word).descents
+        return racg._descents(system, racg._fold(system, word))
     # right descents: the s with w(alpha_s) < 0
     ring = _ring(system)
     cols = ring.fold(reversed(word))
@@ -455,29 +464,30 @@ def in_descent_class(system, word, subset):
 #
 # A subset is spherical exactly when every irreducible component of its
 # induced diagram is one of the finite diagram types.  The components of a
-# subset are connected pieces of the graph whose edges are pairs with order
-# >= 3 (infinite included); distinct components commute elementwise.
+# subset are connected pieces of the graph whose edges are the pairs that do
+# not commute (order >= 3, infinite included), found by a breadth-first
+# search over the commuting masks; distinct components commute elementwise.
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _components_of(system, members):
-    members = sorted(members)
-    entries = system.matrix.entries
-    remaining = set(members)
+    commuting = system._commuting
+    remaining = sum(1 << s for s in members)  # members has no repeats
     parts = []
-    for start in members:
-        if start not in remaining:
-            continue
-        comp = {start}
-        queue = deque([start])
-        remaining.discard(start)
-        while queue:
-            u = queue.popleft()
-            for v in list(remaining):
-                if entries[u][v] >= 3:
-                    comp.add(v)
-                    remaining.discard(v)
-                    queue.append(v)
-        parts.append(frozenset(comp))
+    while remaining:
+        comp = frontier = remaining & -remaining
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = remaining & ~comp & ~commuting[low.bit_length() - 1]
+            comp |= new
+            frontier |= new
+        remaining &= ~comp
+        parts.append(frozenset(_bits(comp)))
     return parts
 
 

@@ -225,55 +225,42 @@ def uniform_push_condition(system, s0, t0, bound, radius):
             f"order of {system.labels[s0]} {system.labels[t0]} is not inf"
         )
     elements = core.ball(system, radius)
-    witnesses = {}
-    ok = True
     target = frozenset([s0])
     constructive = (
         system.right_angled
         and racg.is_irreducible(system)
         and boundary_size_class(system) == MORE_THAN_TWO
     )
+    forms = constructive and [
+        racg.NormalForm(w, racg._descents(system, w)) for w in elements
+    ]
     candidates = None  # exhaustive fallback, built on first use
 
-    def search(w, v):
-        nonlocal candidates
-        if candidates is None:
-            candidates = core.ball(system, bound)
-        for x in candidates:
-            if (
-                core.descent_set(system, w + x) == target
-                and core.descent_set(system, v + x) == target
-            ):
-                return x
-        return None
+    def lands(w, x):
+        if not system.right_angled:
+            return core.descent_set(system, w + x) == target
+        for s in x:  # w is canonical, so this gives the canonical w x
+            w = racg._append(system, w, s)
+        return racg._descents(system, w) == target
 
-    if constructive:
-        nfs = [racg.NormalForm(w, racg._descents(system, w)) for w in elements]
-        for i, w in enumerate(nfs):
-            for v in nfs[i:]:
-                x = racg.push_to_common_singleton(system, w, v, s0)
-                wx = racg.normal_form(system, w.word + x)
-                vx = racg.normal_form(system, v.word + x)
-                if (
-                    len(x) <= bound
-                    and wx.descents == target
-                    and vx.descents == target
-                ):
-                    witnesses[(w.word, v.word)] = x
-                    continue
-                x = search(w.word, v.word)
-                if x is None:
-                    ok = False
-                else:
-                    witnesses[(w.word, v.word)] = x
-        return ok, witnesses
+    witnesses = {}
+    ok = True
     for i, w in enumerate(elements):
-        for v in elements[i:]:
-            x = search(w, v)
-            if x is None:
-                ok = False
+        for j in range(i, len(elements)):
+            v = elements[j]
+            if constructive:
+                x = racg.push_to_common_singleton(system, forms[i], forms[j], s0)
+                if len(x) <= bound and lands(w, x) and lands(v, x):
+                    witnesses[(w, v)] = x
+                    continue
+            if candidates is None:
+                candidates = core.ball(system, bound)
+            for x in candidates:
+                if lands(w, x) and lands(v, x):
+                    witnesses[(w, v)] = x
+                    break
             else:
-                witnesses[(w, v)] = x
+                ok = False
     return ok, witnesses
 
 

@@ -7,6 +7,11 @@ earlier occurrence or inserts at a position determined by a single
 right-to-left scan, so appending one letter is linear in the word length
 and the normal form of a whole word is quadratic.
 
+Every commutation question here is one bit test on the per-generator
+commuting masks ``CoxeterSystem._commuting``, so the descent set of a
+canonical word is one right-to-left pass.  Words are checked once, at the
+public entry points; internal callers holding checked words use ``_fold``.
+
 The update rules in this module track how descent sets evolve under right
 multiplication; together they let two arbitrary elements be pushed into a
 common one-generator descent class by a short, explicitly constructed word.
@@ -14,7 +19,6 @@ common one-generator descent class by a short, explicitly constructed word.
 
 from collections import deque
 from dataclasses import dataclass
-from math import inf
 
 from . import core
 from .errors import (
@@ -46,19 +50,19 @@ class NormalForm:
 
 def _append(system, word, s):
     """Multiply a canonical word by generator s, returning a canonical word."""
-    entries = system.matrix.entries
-    j = len(word) - 1
+    commuting = system._commuting[s]
+    n = len(word)
+    j = n - 1
     while j >= 0:
         t = word[j]
         if t == s:
             return word[:j] + word[j + 1 :]
-        if entries[t][s] != 2:
+        if not commuting >> t & 1:
             break
         j -= 1
     # every letter right of j commutes with s; place s before the first
     # larger one so the result stays lexicographically least
     i = j + 1
-    n = len(word)
     while i < n and word[i] < s:
         i += 1
     return word[:i] + (s,) + word[i:]
@@ -66,30 +70,35 @@ def _append(system, word, s):
 
 def _descents(system, word):
     """Letters that can be shuffled to the end of a canonical word."""
-    entries = system.matrix.entries
+    commuting = system._commuting
     out = []
-    blocked = []
-    for i in range(len(word) - 1, -1, -1):
-        t = word[i]
-        if all(entries[t][u] == 2 for u in blocked):
+    blocked = 0  # letters right of the current one
+    for t in reversed(word):
+        if not blocked & ~commuting[t]:
             out.append(t)
-        blocked.append(t)
+        blocked |= 1 << t
     return frozenset(out)
+
+
+def _fold(system, word):
+    """Canonical word of an already checked word."""
+    w = ()
+    for s in word:
+        w = _append(system, w, s)
+    return w
 
 
 def normal_form(system, word):
     """Canonical normal form of the element represented by ``word``."""
     _require_right_angled(system)
-    word = core.check_word(system, word)
-    w = ()
-    for s in word:
-        w = _append(system, w, s)
+    w = _fold(system, core.check_word(system, word))
     return NormalForm(w, _descents(system, w))
 
 
 def append_letter(system, nf, s):
     """Normal form of nf * s, computed incrementally."""
     _require_right_angled(system)
+    core.check_word(system, (s,))
     w = _append(system, nf.word, s)
     return NormalForm(w, _descents(system, w))
 
@@ -101,10 +110,11 @@ def descent_update(system, descents, s0):
     """
     _require_right_angled(system)
     descents = frozenset(descents)
+    core.check_word(system, (*descents, s0))
     if s0 in descents:
         raise DescentContainsS0(f"generator {s0} already a descent")
-    entries = system.matrix.entries
-    return frozenset(t for t in descents if entries[t][s0] == 2) | {s0}
+    commuting = system._commuting[s0]
+    return frozenset(t for t in descents if commuting >> t & 1) | {s0}
 
 
 def is_irreducible(system):
@@ -119,24 +129,16 @@ def is_hyperbolic(system):
     A quadruple {a, b} x {c, d} with both inner orders infinite and all four
     cross pairs commuting generates a visible product of two infinite
     dihedral groups, i.e. a flat plane; the system is hyperbolic exactly when
-    no such quadruple exists.
+    no such quadruple exists.  For each non-commuting pair {a, b} the scan
+    looks for a non-commuting pair inside the generators commuting with both.
     """
     _require_right_angled(system)
-    entries = system.matrix.entries
-    n = system.rank
-    inf_pairs = [
-        (a, b) for a in range(n) for b in range(a + 1, n) if entries[a][b] == inf
-    ]
-    for i, (a, b) in enumerate(inf_pairs):
-        for c, d in inf_pairs[i + 1 :]:
-            if len({a, b, c, d}) < 4:
-                continue
-            if (
-                entries[a][c] == 2
-                and entries[a][d] == 2
-                and entries[b][c] == 2
-                and entries[b][d] == 2
-            ):
+    commuting = system._commuting
+    everything = (1 << system.rank) - 1
+    for a in system.generators:
+        for b in core._bits(everything & ~commuting[a]):
+            common = commuting[a] & commuting[b]
+            if any(common & ~commuting[c] for c in core._bits(common)):
                 return False
     return True
 
@@ -149,11 +151,10 @@ def generator_centralizer_finite(system, s):
     neighbours commute pairwise.
     """
     _require_right_angled(system)
-    entries = system.matrix.entries
-    link = [t for t in system.generators if t != s and entries[s][t] == 2]
-    return all(
-        entries[u][v] == 2 for i, u in enumerate(link) for v in link[i + 1 :]
-    )
+    core.check_word(system, (s,))
+    commuting = system._commuting
+    link = commuting[s] & ~(1 << s)
+    return not any(link & ~commuting[t] for t in core._bits(link))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +162,15 @@ def generator_centralizer_finite(system, s):
 
 
 def _noncommuting_tree(system, start):
-    entries = system.matrix.entries
+    commuting = system._commuting
+    everything = (1 << system.rank) - 1
     parent = {start: None}
     children = {start: []}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for v in system.generators:
-            if v not in parent and entries[u][v] == inf:
+        for v in core._bits(everything & ~commuting[u]):
+            if v not in parent:
                 parent[v] = u
                 children[v] = []
                 children[u].append(v)
@@ -252,8 +254,8 @@ def proper_union_step(system, w, v):
     if w.descents | v.descents != everything:
         return ()
     for s0 in sorted(w.descents) + sorted(v.descents):
-        dw = append_letter(system, w, s0).descents
-        dv = append_letter(system, v, s0).descents
+        dw = _descents(system, _append(system, w.word, s0))
+        dv = _descents(system, _append(system, v.word, s0))
         if dw | dv != everything:
             return (s0,)
     raise NoSuchX("no length-<=1 step keeps the descent union proper")
@@ -274,10 +276,7 @@ def push_to_common_singleton(system, w, v, s0):
     if decision.boundary_size_class(system) != decision.MORE_THAN_TWO:
         raise BoundaryTooSmallError("joint push needs more than two ends")
     x0 = proper_union_step(system, w, v)
-    w1 = w
-    v1 = v
     for s in x0:
-        w1 = append_letter(system, w1, s)
-        v1 = append_letter(system, v1, s)
-    chain = build_chain(system, w1.descents | v1.descents, s0)
-    return x0 + chain
+        w = append_letter(system, w, s)
+        v = append_letter(system, v, s)
+    return x0 + build_chain(system, w.descents | v.descents, s0)

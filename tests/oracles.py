@@ -302,6 +302,54 @@ def slow_ra_equal(system, u, v):
 
 
 # ---------------------------------------------------------------------------
+# Commutation-graph predicates, read straight off the matrix
+
+
+def has_induced_square(system):
+    """True when four generators split into two infinite-order pairs whose
+    four cross pairs all commute."""
+    e = system.matrix.entries
+    for a, *rest in itertools.combinations(system.generators, 4):
+        for b in rest:
+            c, d = [x for x in rest if x != b]
+            if (
+                e[a][b] == inf
+                and e[c][d] == inf
+                and all(e[x][y] == 2 for x in (a, b) for y in (c, d))
+            ):
+                return True
+    return False
+
+
+def link_is_clique(system, s):
+    """True when the generators commuting with s commute pairwise."""
+    e = system.matrix.entries
+    link = [t for t in system.generators if t != s and e[s][t] == 2]
+    return all(e[u][v] == 2 for u, v in itertools.combinations(link, 2))
+
+
+def connected_components(system):
+    """Components of the graph joining generators whose order is >= 3,
+    each a frozenset, listed by their smallest member."""
+    e = system.matrix.entries
+    label = list(system.generators)  # component label = smallest member
+
+    def find(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+
+    for a, b in itertools.combinations(system.generators, 2):
+        if e[a][b] >= 3:
+            ra, rb = find(a), find(b)
+            label[max(ra, rb)] = min(ra, rb)
+    comps = {}
+    for x in system.generators:
+        comps.setdefault(find(x), set()).add(x)
+    return [frozenset(comps[r]) for r in sorted(comps)]
+
+
+# ---------------------------------------------------------------------------
 # System corpora
 
 

@@ -274,6 +274,10 @@ def test_simulate_csv_bit_exact(tmp_path, capsys):
         ("simulate", ["alpha", "beta", "--mode", "liminf", "--t0", "b"]),
         ("check71", ["--s0", "a", "--t0", "b", "--K", "-1", "--L", "2"]),
         ("check71", ["--s0", "a", "--t0", "b", "--K", "7", "--L", "-1"]),
+        ("simulate", ["alpha", "beta", "--mode", "liminf", "--s0", "b", "--x", "a c"]),
+        ("simulate", ["alpha", "beta", "--mode", "limsup", "--s0", "a", "--t0", "b"]),
+        ("simulate", ["alpha", "beta", "--mode", "obstruction", "--x", "a"]),
+        ("check71", ["--s0", "a", "--t0", "b", "--K", "7", "--L", "2", "--table-rows", "-3"]),
     ],
 )
 def test_bad_bounds_are_usage_errors(tmp_path, capsys, command, rest):

@@ -195,6 +195,21 @@ def test_components_commute_across():
                         assert system.order(s, t) == 2
 
 
+def test_components_match_connectivity_oracle():
+    rng = random.Random(53)
+    orders = (2, 3, 4, 5, 6, inf)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        rows = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice(orders)
+        system = validate(rows, "abcdefg"[:n])
+        assert irreducible_components(system) == oracles.connected_components(
+            system
+        )
+
+
 def test_infinite_support_examples():
     assert infinite_support(oracles.dinf_x_dinf()) == {0, 1, 2, 3}
     commuting = oracles.ra_system_from_graph(3, [(0, 1), (0, 2), (1, 2)])

@@ -19,8 +19,8 @@ from coxboundary import (
     proper_union_step,
     push_to_common_singleton,
     push_to_singleton,
-    reduce,
 )
+from coxboundary.core import _tits_canonical
 from coxboundary.errors import (
     ChainStartsInDescent,
     DescentContainsS0,
@@ -309,5 +309,33 @@ def test_nf_agrees_with_general_reduce():
         for system in oracles.ra_systems_up_to_iso(rank):
             for _ in range(10):
                 word = random_word(rng, system, 10)
-                nf = normal_form(system, word)
-                assert nf.word == reduce(system, word)
+                assert normal_form(system, word).word == _tits_canonical(
+                    system, word
+                )
+
+
+def test_mask_predicates_match_oracles():
+    for rank in (1, 2, 3, 4, 5):
+        for system in oracles.ra_systems_up_to_iso(rank):
+            assert is_hyperbolic(system) == (not oracles.has_induced_square(system))
+            for s in system.generators:
+                assert generator_centralizer_finite(
+                    system, s
+                ) == oracles.link_is_clique(system, s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: append_letter(f, normal_form(f, ()), 7),
+        lambda f: append_letter(f, normal_form(f, (0, 1)), -1),
+        lambda f: descent_update(f, {0}, 9),
+        lambda f: descent_update(f, {0, -2}, 1),
+        lambda f: push_to_singleton(f, normal_form(f, ()), (1, 5)),
+        lambda f: generator_centralizer_finite(f, -1),
+    ],
+    ids=["append-7", "append-neg", "update-9", "update-neg-descent", "chain", "centralizer"],
+)
+def test_generator_arguments_are_checked(call):
+    with pytest.raises(ValueError, match=r"letter -?\d+ out of range for rank 3"):
+        call(oracles.free_product(3))
