@@ -18,7 +18,9 @@ form, as exact rationals so experiments are bit-reproducible.
 The proxy is NOT the boundary metric of the underlying CAT(0) geometry;
 every report produced from these numbers must say so.  Translation requires
 the right-angled normal-form engine, so rays are restricted to right-angled
-systems.
+systems.  The simulations (liminf_series and the two scans) also refuse, with
+Unstable, a ray whose period's generators are not one irreducible piece: the
+normal forms of its prefixes do not nest, so the proxy cannot see it.
 """
 
 from dataclasses import dataclass
@@ -99,9 +101,25 @@ def validate_ray(system, ray, horizon):
     return True
 
 
-def ray_prefix(system, ray, n):
-    """Normal form of the first n letters of a validated ray."""
-    return racg.normal_form(system, ray.letters(n))
+def _require_representable(system, ray):
+    """Raise Unstable unless the period's generators are one irreducible piece.
+
+    Otherwise the lex-least prefixes of the ray do not converge to it: on
+    D_inf x D_inf, n letters of ``| a c b d`` have the normal form
+    (a b)^(n/4) (c d)^(n/4), whose cut at any fixed depth reads only
+    {a, b}, so the proxy would identify the ray with ``| a b``.
+    """
+    parts = core._components_of(system, frozenset(core.check_word(system, ray.period)))
+    if len(parts) != 1:
+
+        def names(letters):
+            return " ".join(system.labels[s] for s in letters)
+
+        text = f"{names(ray.head)} | {names(ray.period)}".lstrip()
+        split = " x ".join("{" + names(sorted(p)) + "}" for p in parts) or "{}"
+        raise Unstable(
+            f"ray '{text}' has no stable translates: its period splits as {split}"
+        )
 
 
 def _translated_word(system, g, ray, depth):
@@ -214,6 +232,8 @@ def liminf_series(system, ray_a, ray_b, s0, t0, x, k_max, depth):
             f"order of {system.labels[s0]} {system.labels[t0]} is not inf"
         )
     x = core.check_word(system, x)
+    _require_representable(system, ray_a)
+    _require_representable(system, ray_b)
     entries = []
     for k in range(1, k_max + 1):
         g = (s0, t0) * k + core.inverse_word(x)
@@ -223,6 +243,8 @@ def liminf_series(system, ray_a, ray_b, s0, t0, x, k_max, depth):
 
 def _ball_scan(system, ray_a, ray_b, radius, depth, want_max):
     """Cumulative extreme of the proxy distance over balls of growing radius."""
+    _require_representable(system, ray_a)
+    _require_representable(system, ray_b)
     pick = max if want_max else min
     best = None
     out = []

@@ -7,9 +7,13 @@ Group elements are handled through words (tuples of generator indices), with
 two words represent the same element exactly when their canonical forms are
 equal tuples.
 
-All functions here are pure.  Internal memo tables are keyed on the system
-instance and only cache results of pure computations, so concurrent use is
-safe (at worst a value is recomputed).
+All functions here are pure.  Each system's ``_memo`` caches results of
+pure computations on that system, so concurrent use is safe (at worst a
+value is recomputed).  It holds three entries, each built on first use:
+``"ring"``, the exact root arithmetic of the word problem (``_ring``);
+``"structure"``, the irreducible components and the infinite ones
+(``_structure``), which every component, size-class and split question
+reads; and ``"chains"``, the chains of ``racg.build_chain``.
 """
 
 from dataclasses import dataclass, field
@@ -454,11 +458,6 @@ def descent_set(system, word):
     return frozenset(s for s, col in enumerate(cols) if ring.negative(col))
 
 
-def in_descent_class(system, word, subset):
-    """True when the descent set of ``word`` equals ``subset`` exactly."""
-    return descent_set(system, word) == frozenset(subset)
-
-
 # ---------------------------------------------------------------------------
 # Finiteness of standard parabolic subgroups.
 #
@@ -491,9 +490,24 @@ def _components_of(system, members):
     return parts
 
 
+def _structure(system):
+    """The irreducible components and the infinite ones, as tuples.
+
+    Computed once per system: the infinite components are those whose
+    parabolic subgroup is infinite, and their union generates the minimum
+    finite-index parabolic subgroup.
+    """
+    structure = system._memo.get("structure")
+    if structure is None:
+        comps = tuple(_components_of(system, system.generators))
+        infinite = tuple(c for c in comps if not _component_is_finite(system, c))
+        structure = system._memo["structure"] = (comps, infinite)
+    return structure
+
+
 def irreducible_components(system):
     """Partition of the generators into irreducible diagram components."""
-    return _components_of(system, range(system.rank))
+    return list(_structure(system)[0])
 
 
 def _branch_lengths(adj, center):
@@ -569,16 +583,10 @@ def _component_is_finite(system, comp):
 
 def is_spherical(system, subset):
     """True when the parabolic subgroup generated by ``subset`` is finite."""
-    subset = frozenset(subset)
-    if not subset:
-        return True
-    memo = system._memo.setdefault("spherical", {})
-    if subset not in memo:
-        memo[subset] = all(
-            _component_is_finite(system, comp)
-            for comp in _components_of(system, subset)
-        )
-    return memo[subset]
+    return all(
+        _component_is_finite(system, comp)
+        for comp in _components_of(system, frozenset(subset))
+    )
 
 
 def infinite_support(system):
@@ -587,11 +595,7 @@ def infinite_support(system):
     The parabolic on this subset is the minimum finite-index parabolic
     subgroup; its complement generates a finite group.
     """
-    out = set()
-    for comp in irreducible_components(system):
-        if not is_spherical(system, comp):
-            out |= comp
-    return frozenset(out)
+    return frozenset().union(*_structure(system)[1])
 
 
 def induced(system, members):

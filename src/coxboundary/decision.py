@@ -119,7 +119,11 @@ class OutOfScope:
         return f"out-of-scope: {self.reason}"
 
     def revalidate(self, system):
-        return True
+        return (
+            not system.right_angled
+            and boundary_size_class(system) == MORE_THAN_TWO
+            and find_product_split(system) is None
+        )
 
 
 @dataclass(frozen=True)
@@ -134,17 +138,16 @@ class Verdict:
 def boundary_size_class(system):
     """Classify the boundary as empty, a two-point set, or bigger.
 
-    The group is finite exactly when the infinite support is empty; the
-    boundary is a two-point set exactly when the infinite support is a
-    single non-commuting pair (an infinite dihedral factor).
+    The group is finite exactly when no irreducible component is infinite;
+    the boundary is a two-point set exactly when the only infinite component
+    is a pair of generators, necessarily of infinite order (an infinite
+    dihedral factor).
     """
-    support = core.infinite_support(system)
-    if not support:
+    infinite = core._structure(system)[1]
+    if not infinite:
         return EMPTY
-    if len(support) == 2:
-        a, b = sorted(support)
-        if system.order(a, b) == inf:
-            return TWO_POINTS
+    if len(infinite) == 1 and len(infinite[0]) == 2:
+        return TWO_POINTS
     return MORE_THAN_TWO
 
 
@@ -152,15 +155,7 @@ def decide_scrambled(system):
     """Decide whether the boundary of a right-angled system is scrambled."""
     if not system.right_angled:
         raise NotRightAngled("the full decision applies to right-angled systems")
-    size = boundary_size_class(system)
-    if size != MORE_THAN_TWO:
-        return Verdict(NOT_SCRAMBLED, BoundaryTooSmall(size))
-    support = core.infinite_support(system)
-    sub, _ = core.induced(system, support)
-    if racg.is_irreducible(sub):
-        return Verdict(SCRAMBLED, IrreducibleCore(support))
-    split = find_product_split(system)
-    return Verdict(NOT_SCRAMBLED, ProductSplit(*split))
+    return analyze(system)
 
 
 def find_product_split(system):
@@ -169,16 +164,10 @@ def find_product_split(system):
     Returns (left, right) with both parabolics infinite and all cross pairs
     commuting, or None when the infinite support has a single component.
     """
-    infinite_comps = [
-        comp
-        for comp in core.irreducible_components(system)
-        if not core.is_spherical(system, comp)
-    ]
-    if len(infinite_comps) < 2:
+    infinite = core._structure(system)[1]
+    if len(infinite) < 2:
         return None
-    left = infinite_comps[0]
-    right = frozenset().union(*infinite_comps[1:])
-    return left, right
+    return infinite[0], frozenset().union(*infinite[1:])
 
 
 def finite_centralizer_generator(system):
@@ -267,18 +256,19 @@ def uniform_push_condition(system, s0, t0, bound, radius):
 def analyze(system):
     """Full verdict pipeline, usable for any system.
 
-    Right-angled systems get the complete decision.  Otherwise only the
-    certifiable sufficient conditions run: a small boundary or a product
-    split settles the question, anything else stays unknown.
+    A small boundary or a product split of the infinite part settles the
+    question for every system.  Otherwise the infinite part is a single
+    irreducible piece: scrambled for a right-angled system, unknown for any
+    other, where only those sufficient conditions are certifiable.
     """
-    if system.right_angled:
-        return decide_scrambled(system)
     size = boundary_size_class(system)
     if size != MORE_THAN_TWO:
         return Verdict(NOT_SCRAMBLED, BoundaryTooSmall(size))
     split = find_product_split(system)
     if split is not None:
         return Verdict(NOT_SCRAMBLED, ProductSplit(*split))
+    if system.right_angled:
+        return Verdict(SCRAMBLED, IrreducibleCore(core.infinite_support(system)))
     return Verdict(
         UNKNOWN,
         OutOfScope(

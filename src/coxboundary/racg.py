@@ -120,7 +120,7 @@ def descent_update(system, descents, s0):
 def is_irreducible(system):
     """True when the graph of non-commuting generator pairs is connected."""
     _require_right_angled(system)
-    return len(core.irreducible_components(system)) <= 1
+    return len(core._structure(system)[0]) <= 1
 
 
 def is_hyperbolic(system):

@@ -18,6 +18,7 @@ Three oracle families, all deliberately unrelated to the package's engines:
 """
 
 import itertools
+import random
 from collections import deque
 from math import inf
 
@@ -422,3 +423,18 @@ def ra_systems_up_to_iso(n):
     return [
         ra_system_from_graph(n, edges) for edges in all_ra_graphs_up_to_iso(n)
     ]
+
+
+def random_systems(count, seed):
+    """Seeded random systems of rank 1 to 7, orders 2, 3, 4, 5, 6 and inf."""
+    rng = random.Random(seed)
+    orders = (2, 3, 4, 5, 6, inf)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        rows = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice(orders)
+        out.append(validate(rows, "abcdefg"[:n]))
+    return out

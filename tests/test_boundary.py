@@ -1,5 +1,6 @@
 """Ray translation and proxy-metric tests."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,12 @@ from coxboundary import (
     Ray,
     derive_push_data,
     format_decimal,
+    induced,
     liminf_series,
     limsup_scan,
     normal_form,
     obstruction_scan,
     proxy_distance,
-    ray_prefix,
     translate_ray,
     validate_ray,
 )
@@ -57,17 +58,17 @@ def test_validate_ray_needs_right_angled():
 
 def test_ray_prefix_examples():
     system = dinf()
-    assert ray_prefix(system, AB, 0).word == ()
-    assert ray_prefix(system, AB, 3).word == (0, 1, 0)
+    assert normal_form(system, AB.letters(0)).word == ()
+    assert normal_form(system, AB.letters(3)).word == (0, 1, 0)
     free3 = oracles.free_product(3)
-    assert ray_prefix(free3, Ray((2,), (0, 1)), 2).word == (2, 0)
+    assert normal_form(free3, Ray((2,), (0, 1)).letters(2)).word == (2, 0)
 
 
 def test_translate_identity():
     system = dinf()
     prefixes = translate_ray(system, (), AB, 5)
     for i, nf in enumerate(prefixes, start=1):
-        assert nf.word == ray_prefix(system, AB, i).word
+        assert nf.word == normal_form(system, AB.letters(i)).word
 
 
 def test_translate_by_generator():
@@ -178,6 +179,48 @@ def test_obstruction_scan_examples():
 def test_translate_unvalidated_ray_raises_unstable():
     with pytest.raises(Unstable):
         translate_ray(dinf(), (), Ray((), (0,)), 1)
+
+
+def test_representable_rays_have_irreducible_periods():
+    """The normal forms of a ray's prefixes nest within a bounded lag exactly
+    when the generators of its period form one irreducible piece, and the
+    simulator refuses exactly the other rays.
+
+    Every reduced headless ray with a period of length p <= 4 over every
+    right-angled class of rank <= 5.  The lag is the largest n - k for
+    N - 2p <= n <= N - p, with k the common prefix of the normal forms of n
+    and N = 24 ray letters; a split period makes it grow like n / 2.
+    """
+    rays = split = 0
+    for rank in (1, 2, 3, 4, 5):
+        for system in oracles.ra_systems_up_to_iso(rank):
+            for p in (1, 2, 3, 4):
+                for period in itertools.product(system.generators, repeat=p):
+                    ray = Ray((), period)
+                    if not validate_ray(system, ray, 2 * p):
+                        continue
+                    rays += 1
+                    parts = oracles.connected_components(
+                        induced(system, set(period))[0]
+                    )
+                    top = normal_form(system, ray.letters(24)).word
+                    lag = 0
+                    for n in range(24 - 2 * p, 24 - p + 1):
+                        word = normal_form(system, ray.letters(n)).word
+                        k = next(
+                            (i for i, (x, y) in enumerate(zip(word, top)) if x != y),
+                            n,
+                        )
+                        lag = max(lag, n - k)
+                    if len(parts) == 1:
+                        assert lag <= 3, (system.matrix, period)
+                        assert limsup_scan(system, ray, ray, 0, 8) == 0
+                    else:
+                        split += 1
+                        assert lag >= 9, (system.matrix, period)
+                        with pytest.raises(Unstable, match="splits as"):
+                            limsup_scan(system, ray, ray, 0, 8)
+    assert (rays, split) == (5972, 240)
 
 
 def test_proxy_zero_iff_prefixes_coincide():

@@ -245,6 +245,22 @@ def test_simulate_obstruction(tmp_path, capsys):
     assert PROXY_DISCLAIMER in out
 
 
+def test_simulate_refuses_split_period(tmp_path, capsys):
+    """A ray whose period splits into commuting factors has no stable
+    translates; its lex-least prefixes converge to another ray's."""
+    text = DD.replace("beta = | c d", "diag = | a c b d\naxis = | a b")
+    path = write(tmp_path, "diag.cox", text)
+    code = main(
+        ["simulate", path, "diag", "axis", "--mode", "liminf", "--s0", "c",
+         "--t0", "d", "--x", "d c d c d c", "--depth", "16", "--kmax", "4"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "'| a c b d'" in captured.err and "{a b} x {c d}" in captured.err
+
+
 def test_simulate_unknown_ray(tmp_path, capsys):
     path = write(tmp_path, "f3.cox", FREE3)
     assert main(["simulate", path, "alpha", "nope", "--mode", "limsup"]) == 2

@@ -8,7 +8,6 @@ import pytest
 from coxboundary import (
     ball,
     descent_set,
-    in_descent_class,
     infinite_support,
     inverse_word,
     irreducible_components,
@@ -124,13 +123,6 @@ def test_descent_set_examples():
     assert descent_set(commuting, (0, 1)) == {0, 1}
 
 
-def test_descent_class_membership():
-    system = dinf()
-    assert in_descent_class(system, (), set())
-    assert in_descent_class(system, (0, 1, 0), {0})
-    assert not in_descent_class(system, (0, 1, 0), {1})
-
-
 def test_spherical_figure_one():
     fig = oracles.figure_one()
     assert is_spherical(fig, {0, 1, 2})  # s, t1, t2
@@ -196,15 +188,7 @@ def test_components_commute_across():
 
 
 def test_components_match_connectivity_oracle():
-    rng = random.Random(53)
-    orders = (2, 3, 4, 5, 6, inf)
-    for _ in range(400):
-        n = rng.randint(1, 7)
-        rows = [[1] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = rows[j][i] = rng.choice(orders)
-        system = validate(rows, "abcdefg"[:n])
+    for system in oracles.random_systems(400, seed=53):
         assert irreducible_components(system) == oracles.connected_components(
             system
         )

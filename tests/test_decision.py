@@ -16,7 +16,10 @@ from coxboundary import (
     decide_scrambled,
     find_product_split,
     finite_centralizer_generator,
+    induced,
     is_expansive,
+    is_irreducible,
+    is_spherical,
     uniform_push_condition,
     validate,
 )
@@ -72,11 +75,8 @@ def test_decide_scrambled_rejects_general_systems():
         decide_scrambled(oracles.figure_one())
 
 
-def test_analyze_general_systems():
-    verdict = analyze(oracles.figure_one())
-    assert verdict.outcome == UNKNOWN
-    assert isinstance(verdict.certificate, OutOfScope)
-    # affine (3,3,3) triangle times an infinite dihedral: product obstruction
+def triangle_x_dinf():
+    """The affine (3,3,3) triangle group times an infinite dihedral group."""
     rows = [
         [1, 3, 3, 2, 2],
         [3, 1, 3, 2, 2],
@@ -84,7 +84,15 @@ def test_analyze_general_systems():
         [2, 2, 2, 1, inf],
         [2, 2, 2, inf, 1],
     ]
-    system = validate(rows, list("vwxyz"))
+    return validate(rows, list("vwxyz"))
+
+
+def test_analyze_general_systems():
+    verdict = analyze(oracles.figure_one())
+    assert verdict.outcome == UNKNOWN
+    assert isinstance(verdict.certificate, OutOfScope)
+    # affine (3,3,3) triangle times an infinite dihedral: product obstruction
+    system = triangle_x_dinf()
     assert not system.right_angled
     verdict = analyze(system)
     assert verdict.outcome == NOT_SCRAMBLED
@@ -92,15 +100,62 @@ def test_analyze_general_systems():
     assert verdict.certificate.revalidate(system)
 
 
+def verdict_from_scratch(system):
+    """Outcome and certificate rebuilt without the package's structure record.
+
+    Components from the union-find oracle, one spherical test per
+    component, and for right-angled systems the irreducibility of the
+    induced infinite part; OutOfScope stands for its class.
+    """
+    infinite = [
+        c for c in oracles.connected_components(system) if not is_spherical(system, c)
+    ]
+    support = frozenset().union(*infinite)
+    if not support:
+        return NOT_SCRAMBLED, BoundaryTooSmall(EMPTY)
+    if len(support) == 2 and system.order(min(support), max(support)) == inf:
+        return NOT_SCRAMBLED, BoundaryTooSmall(TWO_POINTS)
+    if system.right_angled and is_irreducible(induced(system, support)[0]):
+        return SCRAMBLED, IrreducibleCore(support)
+    if len(infinite) > 1:
+        split = ProductSplit(infinite[0], frozenset().union(*infinite[1:]))
+        return NOT_SCRAMBLED, split
+    return UNKNOWN, OutOfScope
+
+
 def test_certificates_revalidate():
-    for system in [
+    systems = [
         oracles.free_product(3),
         oracles.dinf_x_dinf(),
         oracles.five_cycle(),
         oracles.ra_system_from_graph(3, [(0, 2), (1, 2)]),
-    ]:
-        verdict = decide_scrambled(system)
-        assert verdict.certificate.revalidate(system)
+        oracles.figure_one(),
+        triangle_x_dinf(),
+    ]
+    for rank in (1, 2, 3, 4, 5):
+        systems += oracles.ra_systems_up_to_iso(rank)
+    systems += oracles.random_systems(400, seed=53)
+    for system in systems:
+        verdict = analyze(system)
+        outcome, certificate = verdict_from_scratch(system)
+        assert verdict.outcome == outcome, system
+        if certificate is OutOfScope:
+            assert isinstance(verdict.certificate, OutOfScope), system
+        else:
+            assert verdict.certificate == certificate, system
+        assert verdict.certificate.revalidate(system), system
+        if system.right_angled:
+            assert decide_scrambled(system) == verdict
+
+
+def test_out_of_scope_revalidates_only_undecided_systems():
+    certificate = analyze(oracles.figure_one()).certificate
+    assert isinstance(certificate, OutOfScope)
+    assert certificate.revalidate(oracles.figure_one())
+    assert not certificate.revalidate(oracles.free_product(3))  # right-angled
+    assert not certificate.revalidate(triangle_x_dinf())  # product split
+    assert not certificate.revalidate(oracles.dihedral(3))  # finite
+    assert not certificate.revalidate(oracles.dihedral(5))  # finite
 
 
 def test_product_split_examples():
