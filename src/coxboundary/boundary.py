@@ -18,9 +18,10 @@ form, as exact rationals so experiments are bit-reproducible.
 The proxy is NOT the boundary metric of the underlying CAT(0) geometry;
 every report produced from these numbers must say so.  Translation requires
 the right-angled normal-form engine, so rays are restricted to right-angled
-systems.  The simulations (liminf_series and the two scans) also refuse, with
-Unstable, a ray whose period's generators are not one irreducible piece: the
-normal forms of its prefixes do not nest, so the proxy cannot see it.
+systems.  Translation, the proxy distance and the simulations built on them
+also refuse, with Unstable, a ray whose period's generators are not one
+irreducible piece: the normal forms of its prefixes do not nest, so the proxy
+cannot see it.  The simulations check each ray once per call.
 """
 
 from dataclasses import dataclass
@@ -155,8 +156,10 @@ def translate_ray(system, g, ray, depth):
     ``depth + 2|g| + period`` ray letters.  The cut at ``depth`` is rechecked
     one period later and must be unchanged, otherwise Unstable is raised.
     The proxy distance of two translates is 2^-k - 2^-depth, where k is the
-    number of leading prefixes they share.
+    number of leading prefixes they share.  A ray whose period splits is
+    refused with Unstable (see _require_representable).
     """
+    _require_representable(system, ray)
     word = _translated_word(system, g, ray, depth)
     return [
         racg.NormalForm(word[:i], racg._descents(system, word[:i]))
@@ -173,8 +176,16 @@ def proxy_distance(system, g, ray_a, ray_b, depth):
     where k is the length of the common prefix of the two translated words,
     and 0 when the words agree.  Symmetric, in [0, 1), exact.  Each word is
     cut at ``depth`` and must not change when one more ray period is
-    appended to the prefix, otherwise Unstable is raised (see translate_ray).
+    appended to the prefix, otherwise Unstable is raised (see translate_ray),
+    as it is for a ray whose period splits.
     """
+    _require_representable(system, ray_a)
+    _require_representable(system, ray_b)
+    return _proxy_distance(system, g, ray_a, ray_b, depth)
+
+
+def _proxy_distance(system, g, ray_a, ray_b, depth):
+    """proxy_distance for rays already checked by _require_representable."""
     u = _translated_word(system, g, ray_a, depth)
     v = _translated_word(system, g, ray_b, depth)
     if u == v:
@@ -237,7 +248,7 @@ def liminf_series(system, ray_a, ray_b, s0, t0, x, k_max, depth):
     entries = []
     for k in range(1, k_max + 1):
         g = (s0, t0) * k + core.inverse_word(x)
-        entries.append((k, proxy_distance(system, g, ray_a, ray_b, depth)))
+        entries.append((k, _proxy_distance(system, g, ray_a, ray_b, depth)))
     return MetricSeries(tuple(entries))
 
 
@@ -254,7 +265,7 @@ def _ball_scan(system, ray_a, ray_b, radius, depth, want_max):
         by_length.setdefault(len(w), []).append(w)
     for r in range(radius + 1):
         for g in by_length.get(r, []):
-            d = proxy_distance(system, g, ray_a, ray_b, depth)
+            d = _proxy_distance(system, g, ray_a, ray_b, depth)
             best = d if best is None else pick(best, d)
         out.append(best)
     return out

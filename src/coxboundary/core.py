@@ -9,20 +9,23 @@ equal tuples.
 
 All functions here are pure.  Each system's ``_memo`` caches results of
 pure computations on that system, so concurrent use is safe (at worst a
-value is recomputed).  It holds three entries, each built on first use:
-``"ring"``, the exact root arithmetic of the word problem (``_ring``);
+value is recomputed).  It holds two entries, each built on first use:
 ``"structure"``, the irreducible components and the infinite ones
 (``_structure``), which every component, size-class and split question
-reads; and ``"chains"``, the chains of ``racg.build_chain``.
+reads; and ``"chains"``, the chains of ``racg.build_chain``.  The word
+problem keeps no per-system state: only its fixed-point values of
+2 cos(pi / m) are cached, per order and precision, for the whole process.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm
+from math import floor, inf
 
 from .errors import (
     AsymmetricMatrix,
     BadDiagonal,
+    BadLetter,
+    BadShape,
     DuplicateLabel,
     EntryBelowTwo,
     InvalidMatrix,
@@ -88,15 +91,15 @@ def validate(entries, labels):
 
     ``entries`` is a square table whose values are integers >= 1 or
     ``math.inf``; ``labels`` is a sequence of distinct printable strings of
-    the same length.  Raises InvalidMatrix (non-integer entry),
-    AsymmetricMatrix, BadDiagonal, EntryBelowTwo or DuplicateLabel naming
-    the first offending position.
+    the same length.  Raises BadShape (ragged rows, label count),
+    InvalidMatrix (non-integer entry), AsymmetricMatrix, BadDiagonal,
+    EntryBelowTwo or DuplicateLabel naming the first offending position.
     """
     labels = tuple(labels)
     rows = tuple(tuple(row) for row in entries)
     n = len(rows)
     if len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for a rank-{n} matrix")
+        raise BadShape(f"{len(labels)} labels for a rank-{n} matrix")
     seen = {}
     for i, lab in enumerate(labels):
         if lab in seen:
@@ -104,7 +107,7 @@ def validate(entries, labels):
         seen[lab] = i
     for i, row in enumerate(rows):
         if len(row) != n:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+            raise BadShape(f"row {i} has {len(row)} entries, expected {n}")
         for j, m in enumerate(row):
             if type(m) is not int and m != inf:
                 raise InvalidMatrix(
@@ -131,7 +134,7 @@ def check_word(system, word):
     rank = system.rank
     for x in word:
         if type(x) is not int or not 0 <= x < rank:
-            raise ValueError(f"letter {x!r} out of range for rank {rank}")
+            raise BadLetter(f"letter {x!r} out of range for rank {rank}")
     return word
 
 
@@ -151,82 +154,36 @@ def check_word(system, word):
 # of w exactly when w^-1(alpha_s) is negative (Bjorner-Brenti, Combinatorics
 # of Coxeter Groups, ch. 4).  Repeatedly taking the smallest left descent
 # spells the lexicographically least reduced word, which is the canonical
-# form: O(len * rank^2) ring operations per word.
+# form: O(len * rank^2) integer operations per word.
 #
-# The arithmetic is exact.  Every kappa lies in Z[theta] with theta =
-# 2 cos(pi / L), L the lcm of the finite orders >= 4, so coordinates are
-# integer vectors in the basis 1, theta, ..., theta^(D-1), D the degree of
-# the minimal polynomial of theta; with orders in {2, 3, inf} only, D = 1
-# and coordinates are plain integers.  Signs are read off as described at
-# _Ring.negative.  Double-precision coordinates are not enough: on the
-# figure-one system they turn the reduced 49-letter word
+# Only root signs are ever read, so certified fixed-point coordinates are
+# enough (adaptive precision, as in C. K. Yap, "Towards exact geometric
+# computation", Comput. Geom. 7, 1997).  At precision p a coordinate c is
+# stored as an integer C with |C - c 2^p| <= E, where E is one integer error
+# bound per column (a root).  An order m >= 4 other than inf gives an
+# irrational kappa, stored as K = floor(lo 2^p) for a bracket lo <= kappa
+# <= lo + 2^-p (_kappa), so |K - kappa 2^p| < 2, and applied to a
+# coordinate as (K C) >> p.  Now (K C) / 2^p - kappa c 2^p =
+# (K - kappa 2^p) C / 2^p + kappa (C - c 2^p): the first term is below
+# floor(2|C| / 2^p) + 1 in size, the second at most 2E as kappa < 2, and the
+# shift floors by less than 1, so the product is off by less than
+# 2E + floor(2|C| / 2^p) + 2, which the code adds to the bound.  An integer
+# kappa multiplies exactly and adds kappa E.  A root's sign is read from its
+# coordinate of largest |C|, and only when |C| > E; otherwise the precision
+# doubles and the word is refolded (_certified).  That ends: B(beta, beta) =
+# 1 for a root beta, B(alpha_s, alpha_t) <= 0 for s != t and the
+# coordinates share one sign, so their squares sum to at least 1 and the
+# largest has |c| >= 1/sqrt(rank), while E stays bounded as p grows (each
+# operation adds a few units and about 2|c|), so 2^p / sqrt(rank) > 2E, and
+# then |C| > E, once p is large enough.  With orders in {2, 3, inf} only,
+# every kappa is an integer: p = 0, E = 0 and the coordinates are exact.  No
+# float is compared anywhere.  Double precision is not enough: on the
+# figure-one system it turns the reduced 49-letter word
 # (s t3 t1)^8 t2 (t1 t3 s)^8 into a shorter word for another element.
-# Only the ring constants are cached per system, never words.  Right-angled
-# systems take a fast path on the commuting masks (see racg): linear per
-# appended letter, quadratic per word.
-
-
-def _poly_divmod(p, q):
-    """Quotient and remainder of integer polynomials; ``q`` is monic.
-
-    Polynomials are coefficient lists, constant term first.
-    """
-    p = list(p)
-    dq = len(q) - 1
-    quotient = [0] * max(len(p) - dq, 0)
-    for i in range(len(p) - 1, dq - 1, -1):
-        c = p[i]
-        if c:
-            quotient[i - dq] = c
-            for j, b in enumerate(q):
-                p[i - dq + j] -= c * b
-    return quotient, (p[:dq] + [0] * dq)[:dq]
-
-
-def _chebyshev(k):
-    """C_k with C_k(x + 1/x) = x^k + x^-k, so C_k(2 cos a) = 2 cos(k a)."""
-    prev, cur = [2], [0, 1]
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return cur
-
-
-def _cyclotomic(n):
-    """Phi_n, from x^d - 1 = product of Phi_e over the divisors e of d."""
-    phis = {}
-    for d in range(1, n + 1):
-        if n % d == 0:
-            p = [-1] + [0] * (d - 1) + [1]
-            for e, phi in phis.items():
-                if d % e == 0:
-                    p = _poly_divmod(p, phi)[0]
-            phis[d] = p
-    return phis[n]
-
-
-def _minimal_polynomial(order):
-    """Minimal polynomial over Q of 2 cos(pi / order), for order >= 2.
-
-    Integer coefficients, constant term first, monic, of degree
-    phi(2 * order) / 2.  With zeta = exp(i pi / order), a primitive root of
-    unity of order n = 2 * order, 2 cos(pi / order) = zeta + 1/zeta.  The
-    cyclotomic polynomial Phi_n = sum a_i x^i is palindromic of degree 2d,
-    so x^-d Phi_n(x) = a_d + sum over k >= 1 of a_(d+k) (x^k + x^-k), and
-    x^k + x^-k = C_k(x + 1/x).
-    """
-    phi = _cyclotomic(2 * order)
-    d = (len(phi) - 1) // 2
-    out = [0] * (d + 1)
-    out[0] = phi[d]
-    for k in range(1, d + 1):
-        for i, c in enumerate(_chebyshev(k)):
-            out[i] += phi[d + k] * c
-    return out
+# Nothing is cached per system; the kappa brackets are cached per (order,
+# precision) for the whole process.  Right-angled systems take a fast path
+# on the commuting masks (see racg): linear per appended letter, quadratic
+# per word.
 
 
 def _poly_value(p, x):
@@ -236,167 +193,149 @@ def _poly_value(p, x):
     return value
 
 
-def _theta_bounds(minpoly, prec):
+def _theta_bounds(poly, prec):
     """Rationals lo <= theta <= hi with hi - lo <= 2^-prec.
 
-    theta = 2 cos(pi / L) is the largest root of ``minpoly``, whose roots
-    2 cos(k pi / L) are real and below 2.  Newton's method started above the
-    largest root of such a polynomial f decreases towards it without
-    crossing it, and x - D f(x) / f'(x) <= theta below any such x, because
-    f'/f = sum of 1/(x - r) over the D roots r is at most D / (x - theta).
-    Iterates are rounded up to a grid finer than 2^-prec, which keeps them
-    above theta and their denominators small.
+    theta is the largest root of ``poly``, whose roots are real and below
+    2.  Newton's method started above the largest root of such a polynomial
+    f decreases towards it without crossing it, and x - D f(x) / f'(x) <=
+    theta below any such x, because f'/f = sum of 1/(x - r) over the D roots
+    r is at most D / (x - theta).  Iterates are rounded up to a grid finer
+    than 2^-prec, which keeps them above theta and their denominators small.
     """
-    degree = len(minpoly) - 1
-    deriv = [i * c for i, c in enumerate(minpoly)][1:]
+    degree = len(poly) - 1
+    deriv = [i * c for i, c in enumerate(poly)][1:]
     grid = 1 << (prec + degree.bit_length() + 1)
     bound = Fraction(1, 1 << prec)
     x = Fraction(2)
     while True:
-        step = _poly_value(minpoly, x) / _poly_value(deriv, x)
+        step = _poly_value(poly, x) / _poly_value(deriv, x)
         if degree * step <= bound:
             return x - degree * step, x
         x = Fraction(-((step - x) * grid // 1), grid)
 
 
-class _Ring:
-    """Exact root arithmetic of one system's geometric representation.
+def _chebyshev_u(k):
+    """S_k, with S_0 = 1, S_1 = x and S_(j+1) = x S_j - S_(j-1).
 
-    A vector is a flat list of rank * D integers: the coordinate on alpha_u
-    is the element sum of v[u*D + i] theta^i of Z[theta].  Multiplication
-    by kappa(s, t) is stored as the nonzero entries (i, j, k) of its D x D
-    integer matrix: coefficient i of the product gains k times coefficient j.
+    S_k(2 cos a) = sin((k + 1) a) / sin a, so the roots of S_(m-1) are the
+    m - 1 distinct reals 2 cos(j pi / m), the largest 2 cos(pi / m).
+    """
+    prev, cur = [1], [0, 1]
+    for _ in range(k):
+        prev, cur = cur, [-c for c in prev] + [0, 0]
+        for i, c in enumerate(prev):
+            cur[i + 1] += c
+    return prev
+
+
+_KAPPAS = {}  # (order, p) -> K, shared by every system of the process
+
+
+def _kappa(m, p):
+    """K with 0 <= 2 cos(pi / m) 2^p - K < 2, for a finite order m >= 4."""
+    K = _KAPPAS.get((m, p))
+    if K is None:
+        lo, _ = _theta_bounds(_chebyshev_u(m - 1), p)
+        K = _KAPPAS[m, p] = floor(lo * (1 << p))
+    return K
+
+
+class _Uncertain(Exception):
+    """A root sign cannot be certified at the current precision."""
+
+
+class _Roots:
+    """Fixed-point root arithmetic of one system at precision p.
+
+    A column is a list of rank integer coordinates, with its error bound
+    kept alongside (see the word-problem notes above).  ``links[s]`` holds
+    the pairs (t, kappa) with integer kappa and the pairs (t, K) with
+    irrational kappa, for the t != s of order other than 2.
     """
 
-    def __init__(self, entries):
-        self.rank = len(entries)
-        orders = {m for row in entries for m in row if m != inf and m >= 4}
-        if orders:
-            order = lcm(*orders)
-            self.minpoly = _minimal_polynomial(order)
-        else:  # D = 1: no theta occurs
-            order, self.minpoly = None, [0, 1]
-        self.degree = len(self.minpoly) - 1
-        self.links = [
-            [
-                (t, self._times(self._kappa(m, order)))
-                for t, m in enumerate(row)
-                if t != s and m != 2
-            ]
-            for s, row in enumerate(entries)
-        ]
-        self._tables = {}
-
-    def _kappa(self, m, order):
-        """2 cos(pi / m) as a polynomial in theta = 2 cos(pi / order)."""
-        if m == inf:
-            return [2]
-        if m == 3:
-            return [1]
-        return _poly_divmod(_chebyshev(order // m), self.minpoly)[1]
-
-    def _times(self, kappa):
-        D = self.degree
-        out = []
-        for j in range(D):
-            power = [0] * j + kappa  # kappa * theta^j
-            for i, k in enumerate(_poly_divmod(power, self.minpoly)[1]):
-                if k:
-                    out.append((i, j, k))
-        return out
+    def __init__(self, system, p):
+        self.p = p
+        self.rank = system.rank
+        self.links = []
+        for s, row in enumerate(system.matrix.entries):
+            exact, inexact = [], []
+            for t, m in enumerate(row):
+                if m == inf or m == 3:
+                    exact.append((t, 2 if m == inf else 1))
+                elif m > 3:
+                    inexact.append((t, _kappa(m, p)))
+            self.links.append((exact, inexact))
 
     def fold(self, letters):
         """Images of the simple roots under S_(l_n) ... S_(l_1), as columns.
 
         The reflection of the first letter acts first, so the word of w
-        gives w^-1 and its reversal gives w.
+        gives w^-1 and its reversal gives w.  Returns the columns and their
+        error bounds.
         """
-        D, n = self.degree, self.rank
-        cols = [[0] * (n * D) for _ in range(n)]
-        for t, col in enumerate(cols):
-            col[t * D] = 1
+        n, p = self.rank, self.p
+        cols = [[1 << p if u == t else 0 for u in range(n)] for t in range(n)]
+        errors = [0] * n
         for s in letters:
-            base = s * D
-            links = self.links[s]
-            for col in cols:
-                new = [-c for c in col[base : base + D]]
-                for t, times in links:
-                    tb = t * D
-                    for i, j, k in times:
-                        new[i] += k * col[tb + j]
-                col[base : base + D] = new
-        return cols
+            exact, inexact = self.links[s]
+            for i, col in enumerate(cols):
+                e = errors[i]
+                c, grown = -col[s], e
+                for t, k in exact:
+                    c += k * col[t]
+                    grown += k * e
+                for t, K in inexact:
+                    x = col[t]
+                    c += (K * x) >> p
+                    grown += 2 * e + (2 * abs(x) >> p) + 2
+                col[s] = c
+                errors[i] = grown
+        return cols, errors
 
-    def multiply_right(self, cols, s):
+    def multiply_right(self, cols, errors, s):
         """Replace the columns of a map g by those of g S_s.
 
         g S_s (alpha_t) = g(alpha_t) + kappa(s, t) g(alpha_s) for t != s,
         and g S_s (alpha_s) = -g(alpha_s).
         """
-        cs = cols[s]
-        for t, times in self.links[s]:
-            ct = cols[t]
-            for b in range(0, len(cs), self.degree):
-                for i, j, k in times:
-                    ct[b + i] += k * cs[b + j]
-        cols[s] = [-c for c in cs]
+        p, cs, e = self.p, cols[s], errors[s]
+        exact, inexact = self.links[s]
+        for t, k in exact:
+            cols[t] = [a + k * b for a, b in zip(cols[t], cs)]
+            errors[t] += k * e
+        if inexact:
+            grown = 2 * e + (2 * max(map(abs, cs)) >> p) + 2
+            for t, K in inexact:
+                cols[t] = [a + ((K * b) >> p) for a, b in zip(cols[t], cs)]
+                errors[t] += grown
+        cols[s] = [-b for b in cs]
 
-    def negative(self, root):
-        """True when the root with coordinates ``root`` is negative.
-
-        All coordinates of a root share one sign, so any nonzero one
-        decides; with D = 1 they are integers and the first nonzero one is
-        read directly.  Otherwise the coordinate of largest magnitude is
-        used: B(beta, beta) = 1, B(alpha_s, alpha_t) <= 0 for s != t and the
-        signs agree, so the sum of the squared coordinates is at least 1 and
-        that coordinate has |c| >= 1/sqrt(rank).  Each coordinate x is
-        evaluated as the integer S = sum a_i T_i, where T_i bounds
-        theta^i 2^prec from below within an error e_i, so x 2^prec lies
-        within E = sum |a_i| e_i of S.  The sign is accepted only when
-        |S| > E.  The starting precision makes that certain for the largest
-        coordinate (2^prec > 4 D rank 2^bits with e_i <= 2); the loop raises
-        the precision should it ever not be.
-        """
-        D = self.degree
-        if D == 1:
-            return next(c for c in root if c) < 0
-        prec = max(map(abs, root)).bit_length()
-        prec += D.bit_length() + self.rank.bit_length() + 2
-        prec = -(-prec // 32) * 32  # a few shared tables per system
-        while True:
-            powers, errors = self._table(prec)
-            best, error = 0, 0
-            for b in range(0, len(root), D):
-                x = root[b : b + D]
-                value = sum(a * p for a, p in zip(x, powers))
-                if abs(value) > abs(best):
-                    best = value
-                    error = sum(abs(a) * e for a, e in zip(x, errors))
-            if abs(best) > error:
-                return best < 0
-            prec += 32
-
-    def _table(self, prec):
-        """Lower bounds T_i of theta^i 2^prec and their error bounds e_i."""
-        table = self._tables.get(prec)
-        if table is None:
-            D = self.degree
-            lo, hi = _theta_bounds(self.minpoly, prec + 2 * D + 4)
-            powers, errors = [], []
-            for i in range(D):
-                low = lo**i * (1 << prec) // 1
-                high = -(-hi**i * (1 << prec) // 1)
-                powers.append(low)
-                errors.append(high - low)
-            table = self._tables[prec] = (powers, errors)
-        return table
+    @staticmethod
+    def negative(col, error):
+        """True when the root is negative; raises _Uncertain if unsure."""
+        c = max(col, key=abs)
+        if abs(c) <= error:
+            raise _Uncertain
+        return c < 0
 
 
-def _ring(system):
-    ring = system._memo.get("ring")
-    if ring is None:
-        ring = system._memo["ring"] = _Ring(system.matrix.entries)
-    return ring
+def _certified(system, length, run):
+    """``run(roots)``, at a precision doubled until its signs are certain.
+
+    The start grows with the word length, as the error bounds do, and is
+    0 when every kappa is an integer (no sign is ever uncertain then).
+    """
+    p = 0
+    if any(3 < m < inf for row in system.matrix.entries for m in row):
+        p = 64
+        while p < 4 * length:
+            p *= 2
+    while True:
+        try:
+            return run(_Roots(system, p))
+        except _Uncertain:
+            p *= 2
 
 
 def _tits_canonical(system, word):
@@ -405,17 +344,20 @@ def _tits_canonical(system, word):
     Greedy smallest left descent, read from the columns w^-1(alpha_t) of
     the remaining element w.
     """
-    ring = _ring(system)
-    cols = ring.fold(word)
-    out = []
-    while True:
-        for s, col in enumerate(cols):
-            if ring.negative(col):
-                break
-        else:
-            return tuple(out)
-        out.append(s)
-        ring.multiply_right(cols, s)
+
+    def run(roots):
+        cols, errors = roots.fold(word)
+        out = []
+        while True:
+            for s in system.generators:
+                if roots.negative(cols[s], errors[s]):
+                    break
+            else:
+                return tuple(out)
+            out.append(s)
+            roots.multiply_right(cols, errors, s)
+
+    return _certified(system, len(word), run)
 
 
 def reduce(system, word):
@@ -452,10 +394,14 @@ def descent_set(system, word):
         from . import racg
 
         return racg._descents(system, racg._fold(system, word))
-    # right descents: the s with w(alpha_s) < 0
-    ring = _ring(system)
-    cols = ring.fold(reversed(word))
-    return frozenset(s for s, col in enumerate(cols) if ring.negative(col))
+
+    def run(roots):  # right descents: the s with w(alpha_s) < 0
+        cols, errors = roots.fold(reversed(word))
+        return frozenset(
+            s for s in system.generators if roots.negative(cols[s], errors[s])
+        )
+
+    return _certified(system, len(word), run)
 
 
 # ---------------------------------------------------------------------------

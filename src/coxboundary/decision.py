@@ -40,8 +40,7 @@ class IrreducibleCore:
     def revalidate(self, system):
         if self.members != core.infinite_support(system):
             return False
-        sub, _ = core.induced(system, self.members)
-        return racg.is_irreducible(sub)
+        return len(core._components_of(system, self.members)) == 1
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,14 @@ class DuplicateLabel(InvalidMatrix):
         super().__init__(f"generator label {label!r} appears at both {i} and {j}")
 
 
+class BadShape(InvalidMatrix, ValueError):
+    """The matrix is not square, or not of the size of the label list."""
+
+
+class BadLetter(CoxboundaryError, ValueError):
+    """A word letter is not the index of a generator of the system."""
+
+
 class NotRightAngled(CoxboundaryError):
     """Operation requires every off-diagonal entry to be 2 or infinity."""
 

@@ -99,8 +99,6 @@ def parse_system_file(text):
         system = core.validate(matrix_rows, labels)
     except InvalidMatrix as exc:
         raise SystemFileError(str(exc), matrix_line) from exc
-    except ValueError as exc:
-        raise SystemFileError(str(exc), matrix_line) from exc
 
     rays = {}
     for no, line in ray_lines:

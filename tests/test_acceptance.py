@@ -162,12 +162,20 @@ def test_criterion_4_proper_union_step_exhaustive():
         nfs = [
             NormalForm(w, _descents(system, w)) for w in ball(system, 6)
         ]
+        oracle = {}  # normal_form is pure: one call per distinct (word, x)
+
+        def descents_after(word, x):
+            key = (word, x)
+            if key not in oracle:
+                oracle[key] = normal_form(system, word + x).descents
+            return oracle[key]
+
         for w in nfs:
             for v in nfs:
                 x = proper_union_step(system, w, v)  # NoSuchX would raise
                 assert len(x) <= 1
-                dw = normal_form(system, w.word + x).descents
-                dv = normal_form(system, v.word + x).descents
+                dw = descents_after(w.word, x)
+                dv = descents_after(v.word, x)
                 assert dw | dv != everything
                 everything_checked += 1
     assert everything_checked == 3960577

@@ -307,6 +307,7 @@ DIFFERENTIAL_CASES = [
             Ray((2,), (0, 1)),
             Ray((1, 2), (0, 1, 2)),
             Ray((), (0, 1, 1, 0)),  # not reduced: translates stay short
+            Ray((), (0,)),  # not reduced: the cut flips between margins
         ],
     ),
     (
@@ -324,20 +325,34 @@ DIFFERENTIAL_CASES = [
             Ray((), (0, 1)),
             Ray((), (2, 3)),
             Ray((2,), (0, 1)),
-            Ray((), (0, 2, 1, 3)),  # diagonal ray: Unstable
+            Ray((), (0, 2, 1, 3)),  # diagonal ray: its period splits
         ],
     ),
 ]
 
 
+def _period_splits(system, ray):
+    """True when the period's generators form more than one component."""
+    sub = induced(system, set(ray.period))[0]
+    return len(oracles.connected_components(sub)) != 1
+
+
 def test_proxy_distance_matches_defining_sum():
     rng = random.Random(20080802)
-    seen = {"unstable": 0, "positive": 0, "zero": 0}
+    seen = {"unstable": 0, "split": 0, "positive": 0, "zero": 0}
     for system, rays in DIFFERENTIAL_CASES:
         for case in range(40):
             ra, rb = rng.choice(rays), rng.choice(rays)
             g = tuple(rng.randrange(system.rank) for _ in range(rng.randrange(7)))
             depth = 0 if case == 0 else rng.randrange(13)
+            if _period_splits(system, ra) or _period_splits(system, rb):
+                seen["split"] += 1
+                with pytest.raises(Unstable, match="splits"):
+                    proxy_distance(system, g, ra, rb, depth)
+                if _period_splits(system, ra):
+                    with pytest.raises(Unstable, match="splits"):
+                        translate_ray(system, g, ra, depth)
+                continue
             u = _oracle_translate(system, g, ra, depth)
             v = _oracle_translate(system, g, rb, depth)
             if u is None or v is None:
@@ -352,3 +367,18 @@ def test_proxy_distance_matches_defining_sum():
             ]
             seen["positive" if expected else "zero"] += 1
     assert all(seen.values()), seen
+
+
+def test_split_period_rays_are_refused_by_every_entry():
+    """Regression: on D_inf x D_inf, | a c b d and | a b are distinct
+    boundary points, yet their translates by (c d)^4 read as equal."""
+    dinf2 = oracles.dinf_x_dinf()
+    diagonal, axis = Ray((), (0, 2, 1, 3)), Ray((), (0, 1))
+    g = (2, 3) * 4
+    with pytest.raises(Unstable, match=r"splits as \{a b\} x \{c d\}"):
+        proxy_distance(dinf2, g, diagonal, axis, 16)
+    with pytest.raises(Unstable, match="splits"):
+        proxy_distance(dinf2, g, axis, diagonal, 16)
+    with pytest.raises(Unstable, match="splits"):
+        translate_ray(dinf2, g, diagonal, 16)
+    assert proxy_distance(dinf2, g, axis, Ray((), (2, 3)), 16) > 0

@@ -21,6 +21,7 @@ from coxboundary.core import _tits_canonical, check_word
 from coxboundary.errors import (
     AsymmetricMatrix,
     BadDiagonal,
+    CoxboundaryError,
     DuplicateLabel,
     EntryBelowTwo,
     InvalidMatrix,
@@ -79,6 +80,21 @@ def test_check_word_rejects_bool_letters():
     with pytest.raises(ValueError):
         reduce(dinf(), (False,))
     assert check_word(dinf(), [1, 0]) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_word(dinf(), (0, 2)),
+        lambda: check_word(dinf(), (True,)),
+        lambda: validate([[1, 2], [2]], ["a", "b"]),
+        lambda: validate([[1, 2], [2, 1]], ["a"]),
+    ],
+    ids=["letter-out-of-range", "bool-letter", "ragged-row", "label-count"],
+)
+def test_word_and_shape_errors_are_typed(call):
+    with pytest.raises(CoxboundaryError):
+        call()
 
 
 def test_reduce_involution():
@@ -449,25 +465,110 @@ def test_longest_elements(name, orders, branch, h, length):
         assert word_length(system, w0 + (s,)) == length - 1
 
 
-def test_minimal_polynomial_of_two_cos():
-    from math import cos, gcd, pi
+def _s_value(k, x):
+    """S_k(x) from S_-1 = 0, S_0 = 1 and S_(j+1) = x S_j - S_(j-1)."""
+    prev, cur = 0, 1
+    for _ in range(k):
+        prev, cur = cur, x * cur - prev
+    return cur
 
-    from coxboundary.core import _Ring, _minimal_polynomial, _theta_bounds
 
-    for m in (4, 5, 6, 7, 8, 9, 10, 12):
-        poly = _minimal_polynomial(m)
-        totient = sum(1 for k in range(1, 2 * m + 1) if gcd(k, 2 * m) == 1)
-        assert len(poly) - 1 == totient // 2
-        assert poly[-1] == 1 and all(type(c) is int for c in poly)
-        theta = 2 * cos(pi / m)
-        assert abs(sum(c * theta**i for i, c in enumerate(poly))) < 1e-9
-        lo, hi = _theta_bounds(poly, 60)
-        assert 0 < hi - lo <= 2**-60
-        assert abs(float(lo) - theta) < 1e-12
-    # orders 4 and 5 together: one ring Z[2cos(pi/20)] of degree 8
-    ring = _Ring(CLOSURE_SYSTEMS["(2,4,5)"].matrix.entries)
-    assert ring.minpoly == _minimal_polynomial(20)
-    assert ring.degree == 8
-    # orders in {2, 3, inf} stay in the integers
-    assert _Ring(oracles.dinf_x_dinf().matrix.entries).degree == 1
-    assert _Ring(_triangle(3, 3, inf).matrix.entries).degree == 1
+def test_kappa_brackets_two_cos():
+    """0 < 2 cos(pi/m) 2^p - K < 2, checked in exact rational arithmetic.
+
+    2 cos(pi/m) is the largest root of S_(m-1), which is positive above
+    it and negative just below it.
+    """
+    from fractions import Fraction
+    from math import cos, pi
+
+    from coxboundary.core import _kappa
+
+    for m in range(4, 41):
+        for p in (64, 128, 256, 512):
+            K = _kappa(m, p)
+            assert abs(K / 2**p - 2 * cos(pi / m)) < 1e-12, (m, p)
+            below = _s_value(m - 1, Fraction(K - 2, 2**p))
+            above = _s_value(m - 1, Fraction(K + 2, 2**p))
+            assert below < 0 < above, (m, p)
+            assert _s_value(m - 1, Fraction(K, 2**p)) < 0, (m, p)  # K rounds down
+
+
+def test_precision_follows_the_orders(monkeypatch):
+    """Orders in {2, 3, inf} take the exact integer path, p = 0."""
+    from coxboundary import core
+
+    used = []
+    roots = core._Roots
+    monkeypatch.setattr(
+        core, "_Roots", lambda system, p: used.append(p) or roots(system, p)
+    )
+    word = (0, 1, 2, 0, 2, 1) * 10
+    _tits_canonical(oracles.dinf_x_dinf(), word + (3,))
+    system = _triangle(3, 3, inf)
+    reduce(system, word)
+    descent_set(system, word)
+    assert used == [0, 0, 0]
+    used.clear()
+    system = CLOSURE_SYSTEMS["(2,4,5)"]
+    reduce(system, word[:10])
+    descent_set(system, word)
+    assert used[0] == 64 and used[-1] >= 4 * len(word)
+
+
+def _within(C, E, exact, p):
+    """C - E <= c 2^p <= C + E for the exact coordinate c = a + b sqrt(2)."""
+    a, b = exact
+    low = oracles._sqrt2_sign((C - E - a * 2**p, -b * 2**p))
+    high = oracles._sqrt2_sign((C + E - a * 2**p, -b * 2**p))
+    return low <= 0 <= high
+
+
+def test_fixed_point_error_bounds_hold():
+    """Every coordinate stays within its column's bound of the exact root.
+
+    Figure one has orders 4 and inf, so its roots lie in Z[sqrt(2)] and
+    the oracle matrices give them exactly; row t of the matrix of a word w
+    is w^-1(alpha_t).  Low precisions make the bounds large and tight.
+    """
+    from coxboundary.core import _Roots
+
+    fig = oracles.figure_one()
+    rng = random.Random(2)
+    for p in (4, 8, 16, 64):
+        roots = _Roots(fig, p)
+        for _ in range(30):
+            word = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 25)))
+            cols, errors = roots.fold(word)
+            for s in [rng.randrange(4) for _ in range(4)]:
+                exact = oracles.word_matrix(fig, word)
+                for t in range(4):
+                    for u in range(4):
+                        assert _within(cols[t][u], errors[t], exact[t][u], p)
+                roots.multiply_right(cols, errors, s)
+                word = (s,) + word
+
+
+def test_large_coprime_orders():
+    """Coprime orders 31 and 37: short words against the closure oracle, the
+    dihedral braid words, and a time budget."""
+    import time
+
+    system = validate([[1, 31, 2], [31, 1, 37], [2, 37, 1]], ["a", "b", "c"])
+    rng = random.Random(3137)
+    words = [
+        tuple(rng.randrange(3) for _ in range(rng.randrange(13)))
+        for _ in range(100)
+    ]
+    braids = [(1, 0) * 15 + (1,), (0, 1) * 15 + (0,), (2, 1) * 18 + (2,)]
+    braids.append((1, 2) * 18 + (1,))
+    start = time.monotonic()
+    got = [reduce(system, w) for w in words + braids]
+    assert reduce(system, (0, 1) * 31) == ()
+    elapsed = time.monotonic() - start
+    assert elapsed < 5, f"{elapsed:.1f}s"
+    memo = {}
+    for word, canonical in zip(words + braids, got):
+        assert canonical == oracles.closure_canonical(system, word, memo), word
+    for word, canonical in zip(braids, got[100:]):
+        assert len(canonical) == len(word)

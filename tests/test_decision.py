@@ -148,6 +148,14 @@ def test_certificates_revalidate():
             assert decide_scrambled(system) == verdict
 
 
+def test_forged_irreducible_cores_do_not_revalidate():
+    dinf2 = oracles.dinf_x_dinf()
+    assert not IrreducibleCore(frozenset({0, 1, 2, 3})).revalidate(dinf2)  # split
+    assert not IrreducibleCore(frozenset({0, 1})).revalidate(oracles.free_product(3))
+    assert not IrreducibleCore(frozenset()).revalidate(oracles.dihedral(3))
+    assert IrreducibleCore(frozenset({0, 1, 2})).revalidate(oracles.free_product(3))
+
+
 def test_out_of_scope_revalidates_only_undecided_systems():
     certificate = analyze(oracles.figure_one()).certificate
     assert isinstance(certificate, OutOfScope)
